@@ -54,33 +54,13 @@ inline const char* family_name(Family f) {
   return "?";
 }
 
-// Generates a member of the family with ~n vertices.
+// Generates a member of the family with ~n vertices (graph::make_family;
+// the row labels above are the bench's own names for the same families).
 inline graph::Graph make_graph(Family f, int n, graph::Rng& rng) {
-  switch (f) {
-    case Family::kGrid: {
-      int side = 1;
-      while (side * side < n) ++side;
-      return graph::grid(side, side);
-    }
-    case Family::kRandomPlanar:
-      return graph::random_planar(n, 2 * n, rng);
-    case Family::kTriangulation:
-      return graph::random_maximal_planar(n, rng);
-    case Family::kOuterplanar:
-      return graph::random_outerplanar(n, rng);
-    case Family::kTwoTree:
-      return graph::random_two_tree(n, rng);
-    case Family::kTree:
-      return graph::random_tree(n, rng);
-    case Family::kHypercube: {
-      int dim = 1;
-      while ((1 << dim) < n) ++dim;
-      return graph::hypercube(dim);
-    }
-    case Family::kRegularExpander:
-      return graph::random_regular(n - (n % 2), 6, rng);
-  }
-  throw std::invalid_argument("unknown family");
+  static constexpr const char* kKeys[] = {  // indexed by Family
+      "grid", "planar", "tri", "outer", "twotree", "tree", "hypercube",
+      "expander"};
+  return graph::make_family(kKeys[static_cast<int>(f)], n, rng);
 }
 
 // eps encoded as an integer benchmark arg (per-mille).

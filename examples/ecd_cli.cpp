@@ -9,22 +9,14 @@
 //   ecd_cli test-planarity <file> [opts]     property testing (Thm 1.4)
 //   ecd_cli ldd <file> [opts]                low-diameter decomp (Thm 1.5)
 //   ecd_cli triangles <file>                 distributed triangle census
-//   ecd_cli trace --family <f> --n <k>       run the Thm 2.6 pipeline with
-//                                            the metrics collector attached;
-//                                            print the per-phase table +
-//                                            hotspot report, write a trace
-//   ecd_cli report --family <f> --n <k>      run the pipeline with the
-//                                            always-on metrics registry
-//                                            (works at any --threads), print
-//                                            the per-phase table, write an
-//                                            ecd-run-report-v1 JSON snapshot
-//   ecd_cli profile --family <f> --n <k>     run the pipeline with the
-//                                            wall-clock execution profiler
-//                                            attached; print the per-shard
-//                                            imbalance/barrier table, write
-//                                            ecd-profile-v1 JSON and (with
-//                                            --timeline) a per-shard Chrome
-//                                            trace
+//   ecd_cli run --family <f> --n <k>         run the Thm 2.6 pipeline (or a
+//                                            flood / Luby MIS workload) once
+//                                            with every requested observer
+//                                            attached; print the per-phase
+//                                            table of the always-on metrics
+//                                            registry; write a trace, an
+//                                            ecd-run-report-v1 and an
+//                                            ecd-profile-v1 file as named
 //   ecd_cli sweep --spec <file>              expand a declarative JSON grid
 //                                            (family x n x seeds x algorithm
 //                                            x threads x faults) and run it
@@ -39,57 +31,53 @@
 //          --distributed  fully measured decomposition (no modeled rounds)
 //          --dot <out>    write a cluster-colored DOT file (decompose/ldd)
 //
-// trace options: --family <f> --n <k>        generated input (see `gen`)
-//                --out <path>                trace file (default ecd_trace.json)
-//                --format chrome|jsonl       trace format (default chrome)
-//                --top <k>                   hotspot edges to print (default 10)
-//                --threads <k>               simulator worker threads
-//                                            (default 1; 0 = hardware) — the
-//                                            trace is byte-identical at every
-//                                            value (DESIGN.md §18)
-//                --sample r[,v[,t]]          sampling filters: keep rounds
-//                                            r | round, delivery events for
-//                                            vertices v | vertex, messages
-//                                            with tag == t (t < 0: all tags);
-//                                            defaults 1,1,-1 = everything
-//                --ring <k>                  flight-recorder mode: bounded
-//                                            ring of the last k rounds of
-//                                            events, dumped to --out as
-//                                            flight JSONL (auto-dumped on an
-//                                            aborted run); skips the hotspot
-//                                            report and ignores --format
-//
-// report options: --family/--n/--eps/--seed/--distributed as above
-//                 --threads <k>              simulator worker threads
-//                                            (default 1; 0 = hardware)
-//                 --fault-permille <k>       drop k/1000 of gather messages
-//                                            (routes through reliable gather)
-//                 --out <path>               report file (default
-//                                            ecd_report.json)
-//                 --top <k>                  congested edges in the report
-//                                            (default 10)
-//
-// profile options: --family/--n/--eps/--seed/--distributed/--threads/
-//                  --fault-permille as above
-//                  --workload gather|flood|mis
-//                                            what to profile (default
-//                                            gather = the Thm 2.6 pipeline;
-//                                            flood = one wavefront over the
-//                                            graph; mis = Luby MIS)
-//                  --out <path>              ecd-profile-v1 JSON (default
-//                                            ecd_profile.json)
-//                  --timeline <path>         per-shard Chrome trace_event
-//                                            timeline (omitted = not written)
-//                  --ring <k>                per-shard round samples kept for
-//                                            the timeline (default 4096)
-//                  --sparse-threshold <k>    serial-fallback cutoff: rounds
+// run options: --family <f> --n <k>         generated input (see `gen`;
+//                                            default grid, 1024)
+//              --eps/--seed/--distributed    as above
+//              --threads <k>                 simulator worker threads
+//                                            (default 1; 0 = hardware) —
+//                                            every output except wall-clock
+//                                            fields is byte-identical at
+//                                            every value (DESIGN.md §18)
+//              --fault-permille <k>          drop k/1000 of messages (gather
+//                                            routes through reliable gather;
+//                                            gather/flood workloads only)
+//              --sparse-threshold <k>        serial-fallback cutoff: rounds
 //                                            with <= k active vertices run
 //                                            on the calling thread (default
 //                                            256; 0 = always dispatch)
-//                  --churn-permille <c>      deterministic topology churn of
+//              --churn-permille <c>          deterministic topology churn of
 //                                            ~c/1000 of the edges (the sweep
 //                                            schedule, core::make_churn_plan;
 //                                            flood/mis workloads only)
+//              --workload gather|flood|mis   what to run (default gather =
+//                                            the Thm 2.6 pipeline; flood =
+//                                            one wavefront from vertex 0;
+//                                            mis = Luby MIS)
+//              --top <k>                     hotspot / congested edges to
+//                                            print and report (default 10)
+//              --trace <path>                attach the metrics collector;
+//                                            write JSONL when the name ends
+//                                            in .jsonl, a Chrome trace
+//                                            otherwise; print the hotspot
+//                                            report
+//              --sample r[,v[,t]]            trace sampling filters: keep
+//                                            rounds r | round, delivery
+//                                            events for vertices v | vertex,
+//                                            messages with tag == t (t < 0:
+//                                            all tags); defaults 1,1,-1
+//              --ring <k>                    flight-recorder mode: bounded
+//                                            ring of the last k rounds of
+//                                            events written to --trace as
+//                                            flight JSONL (auto-dumped on an
+//                                            aborted run); no hotspot report
+//              --report <path>               ecd-run-report-v1 JSON
+//              --profile <path>              attach the execution profiler;
+//                                            print the per-shard table and
+//                                            write ecd-profile-v1 JSON
+//              --timeline <path>             per-shard Chrome trace_event
+//                                            timeline of the profiler
+//            Nothing is written unless a file is named.
 //
 // sweep options: --spec <file>               JSON grid spec (axes: families,
 //                                            sizes, topo_seeds, run_seeds,
@@ -124,20 +112,23 @@
 //                                            seconds without a completed run
 //                                            (default 30)
 //
-// families for `gen`/`trace`: grid, tri, planar, outer, twotree, tree,
-// torus, hypercube, expander.
+// families for `gen`/`run` (graph::make_family): grid, tri, planar, outer,
+// twotree, tree, torus, hypercube, expander.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/luby_mis.h"
 #include "src/congest/metrics.h"
 #include "src/congest/network.h"
+#include "src/congest/primitives.h"
 #include "src/congest/profiler.h"
 #include "src/congest/trace.h"
 #include "src/core/correlation.h"
@@ -181,13 +172,13 @@ struct Options {
       "  test-planarity <file> [opts]       planarity property testing\n"
       "  ldd <file> [opts]                  low-diameter decomposition\n"
       "  triangles <file>                   distributed triangle census\n"
-      "  trace --family <f> --n <k>         traced pipeline run + hotspot"
-      " report\n"
-      "        [--threads <k>] [--sample r[,v[,t]]] [--ring <k>]\n"
-      "  report --family <f> --n <k>        metrics registry run ->"
-      " ecd-run-report-v1\n"
-      "  profile --family <f> --n <k>       execution profiler run ->"
-      " ecd-profile-v1\n"
+      "  run --family <f> --n <k>           one observed pipeline run\n"
+      "        [--eps <x>] [--seed <k>] [--distributed] [--threads <k>]\n"
+      "        [--fault-permille <k>] [--sparse-threshold <k>]\n"
+      "        [--churn-permille <c>] [--workload gather|flood|mis]"
+      " [--top <k>]\n"
+      "        [--trace <file> [--sample r[,v[,t]]] [--ring <k>]]\n"
+      "        [--report <file>] [--profile <file> [--timeline <file>]]\n"
       "  sweep --spec <file>                declarative run grid over one"
       " engine\n"
       "        [--workers <k>] [--repeat <k>] [--cold] [--jsonl <path>]\n"
@@ -246,31 +237,23 @@ void maybe_write_dot(const Options& o, const Graph& g,
   std::printf("wrote %s\n", o.dot_path.c_str());
 }
 
-Graph make_family(const std::string& family, int n, ecd::graph::Rng& rng) {
-  if (family == "grid") {
-    int side = 1;
-    while (side * side < n) ++side;
-    return ecd::graph::grid(side, side);
+// graph::make_family, with a bad name or size reported as a usage error.
+Graph make_input(const std::string& family, int n, ecd::graph::Rng& rng) {
+  try {
+    return ecd::graph::make_family(family, n, rng);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
   }
-  if (family == "tri") return ecd::graph::random_maximal_planar(n, rng);
-  if (family == "planar") return ecd::graph::random_planar(n, 2 * n, rng);
-  if (family == "outer") return ecd::graph::random_outerplanar(n, rng);
-  if (family == "twotree") return ecd::graph::random_two_tree(n, rng);
-  if (family == "tree") return ecd::graph::random_tree(n, rng);
-  if (family == "torus") {
-    int side = 3;
-    while (side * side < n) ++side;
-    return ecd::graph::torus_grid(side, side);
+}
+
+std::ofstream open_or_exit(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
   }
-  if (family == "hypercube") {
-    int dim = 1;
-    while ((1 << dim) < n) ++dim;
-    return ecd::graph::hypercube(dim);
-  }
-  if (family == "expander") {
-    return ecd::graph::random_regular(n - (n % 2), 6, rng);
-  }
-  usage();
+  return out;
 }
 
 int cmd_gen(int argc, char** argv) {
@@ -278,202 +261,200 @@ int cmd_gen(int argc, char** argv) {
   const std::string family = argv[2];
   const int n = std::atoi(argv[3]);
   ecd::graph::Rng rng(argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1);
-  const Graph g = make_family(family, n, rng);
+  const Graph g = make_input(family, n, rng);
   ecd::graph::write_edge_list(g, std::cout);
   return 0;
 }
 
-int cmd_trace(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_trace.json", format = "chrome";
-  int n = 1024, top_k = 10, threads = 1, ring_rounds = 0;
+struct RunArgs {
+  std::string family = "grid", workload = "gather";
+  int n = 1024, threads = 1, fault_permille = 0, churn_permille = 0;
+  int sparse_threshold = ecd::congest::NetworkOptions{}.sparse_serial_threshold;
+  int top_k = 10, ring = 0;
   double eps = 0.2;
   std::uint64_t seed = 1;
-  bool distributed = false;
-  ecd::congest::TraceConfig tcfg;
+  bool distributed = false, sampled = false;
+  ecd::congest::TraceConfig sample;
+  std::string trace_path, report_path, profile_path, timeline_path;
+};
+
+RunArgs parse_run(int argc, char** argv) {
+  RunArgs a;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+    const bool has_value = i + 1 < argc;
+    if (arg == "--family" && has_value) {
+      a.family = argv[++i];
+    } else if (arg == "--n" && has_value) {
+      a.n = std::atoi(argv[++i]);
+    } else if (arg == "--eps" && has_value) {
+      a.eps = std::atof(argv[++i]);
+    } else if (arg == "--seed" && has_value) {
+      a.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--sample" && i + 1 < argc) {
+      a.distributed = true;
+    } else if (arg == "--threads" && has_value) {
+      a.threads = std::atoi(argv[++i]);
+    } else if (arg == "--fault-permille" && has_value) {
+      a.fault_permille = std::atoi(argv[++i]);
+    } else if (arg == "--sparse-threshold" && has_value) {
+      a.sparse_threshold = std::atoi(argv[++i]);
+    } else if (arg == "--churn-permille" && has_value) {
+      a.churn_permille = std::atoi(argv[++i]);
+    } else if (arg == "--workload" && has_value) {
+      a.workload = argv[++i];
+      if (a.workload != "gather" && a.workload != "flood" &&
+          a.workload != "mis") {
+        usage();
+      }
+    } else if (arg == "--top" && has_value) {
+      a.top_k = std::atoi(argv[++i]);
+    } else if (arg == "--trace" && has_value) {
+      a.trace_path = argv[++i];
+    } else if (arg == "--sample" && has_value) {
       long long r = 1;
       int v = 1, t = -1;
       if (std::sscanf(argv[++i], "%lld,%d,%d", &r, &v, &t) < 1) usage();
-      tcfg.round_period = r;
-      tcfg.vertex_stride = v;
-      tcfg.tag_filter = t;
-    } else if (arg == "--ring" && i + 1 < argc) {
-      ring_rounds = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--format" && i + 1 < argc) {
-      format = argv[++i];
-      if (format != "chrome" && format != "jsonl") usage();
-    } else if (arg == "--top" && i + 1 < argc) {
-      top_k = std::atoi(argv[++i]);
+      a.sample.round_period = r;
+      a.sample.vertex_stride = v;
+      a.sample.tag_filter = t;
+      a.sampled = true;
+    } else if (arg == "--ring" && has_value) {
+      a.ring = std::atoi(argv[++i]);
+    } else if (arg == "--report" && has_value) {
+      a.report_path = argv[++i];
+    } else if (arg == "--profile" && has_value) {
+      a.profile_path = argv[++i];
+    } else if (arg == "--timeline" && has_value) {
+      a.timeline_path = argv[++i];
     } else {
       usage();
     }
   }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
-
-  ecd::core::FrameworkOptions fopt;
-  fopt.seed = seed;
-  fopt.num_threads = threads;
-  fopt.trace_config = tcfg;
-  if (distributed) {
-    fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
+  if ((a.sampled || a.ring > 0) && a.trace_path.empty()) usage();
+  if (a.churn_permille > 0 && a.workload == "gather") {
+    // The gather pipeline drives its own Network sequence through the
+    // framework; churn there is an experiment, not a CLI knob.
+    std::fprintf(stderr, "--churn-permille requires --workload flood or mis\n");
+    std::exit(2);
   }
-
-  if (ring_rounds > 0) {
-    // Flight-recorder mode: a bounded ring of the last --ring rounds, no
-    // per-edge aggregation, no hotspot report — the trace shape for runs
-    // too large for MetricsCollector. The ring auto-dumps on an abnormal
-    // run end, so a failing run still ships its post-mortem.
-    ecd::congest::FlightRecorder::Options ropt;
-    ropt.keep_rounds = ring_rounds;
-    ecd::congest::FlightRecorder recorder(ropt);
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    recorder.set_auto_dump(&out);
-    fopt.trace = &recorder;
-    try {
-      auto p = ecd::core::partition_and_gather(g, eps, fopt);
-      std::vector<std::int64_t> answers(g.num_vertices());
-      for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-      ecd::core::return_results(p, answers, "result return (reversed walks)");
-      std::printf(
-          "family=%s n=%d m=%d eps=%.3f clusters=%d gather_complete=%d\n",
-          family.c_str(), g.num_vertices(), g.num_edges(), eps,
-          p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
-    } catch (const std::exception& e) {
-      // The recorder already dumped its ring via on_abort.
-      std::fprintf(stderr, "run aborted: %s (flight dump in %s)\n", e.what(),
-                   out_path.c_str());
-      return 1;
-    }
-    recorder.dump_jsonl(out);
-    std::printf("wrote %s (flight format, %lld events retained, %lld"
-                " dropped, last round %lld)\n",
-                out_path.c_str(),
-                static_cast<long long>(recorder.events_retained()),
-                static_cast<long long>(recorder.events_dropped()),
-                static_cast<long long>(recorder.last_round()));
-    return 0;
+  if (a.fault_permille > 0 && a.workload == "mis") {
+    std::fprintf(stderr,
+                 "--fault-permille requires --workload gather or flood\n");
+    std::exit(2);
   }
-
-  ecd::congest::MetricsCollector collector;
-  fopt.trace = &collector;
-  auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  // Exercise the reversed delivery too so its rounds join the ledger.
-  std::vector<std::int64_t> answers(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-  ecd::core::return_results(p, answers, "result return (reversed walks)");
-
-  std::printf("family=%s n=%d m=%d eps=%.3f clusters=%d gather_complete=%d\n",
-              family.c_str(), g.num_vertices(), g.num_edges(), eps,
-              p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
-  std::printf("%-22s %10s %12s %12s %14s\n", "phase", "rounds", "messages",
-              "words", "max-edge-load");
-  for (const auto& s : collector.spans()) {
-    if (s.depth != 0) continue;
-    std::printf("%-22s %10lld %12lld %12lld %14d\n",
-                s.name.c_str(), static_cast<long long>(s.rounds),
-                static_cast<long long>(s.messages),
-                static_cast<long long>(s.words), s.max_edge_load);
-  }
-  const auto totals = collector.totals();
-  std::printf("%-22s %10lld %12lld %12lld %14d\n", "total (simulated)",
-              static_cast<long long>(totals.rounds),
-              static_cast<long long>(totals.messages_sent),
-              static_cast<long long>(totals.words_sent),
-              totals.max_edge_load);
-  std::printf("\nround ledger:\n%s\n", p.ledger.to_string().c_str());
-  std::printf("%s", ecd::congest::hotspot_report(collector, top_k).c_str());
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (format == "jsonl") {
-    ecd::congest::export_jsonl(collector, out);
-  } else {
-    ecd::congest::export_chrome_trace(collector, out);
-  }
-  std::printf("wrote %s (%s format)\n", out_path.c_str(), format.c_str());
-  return 0;
+  return a;
 }
 
-int cmd_report(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_report.json";
-  int n = 1024, top_k = 10, threads = 1, fault_permille = 0;
-  double eps = 0.2;
-  std::uint64_t seed = 1;
-  bool distributed = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--fault-permille" && i + 1 < argc) {
-      fault_permille = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--top" && i + 1 < argc) {
-      top_k = std::atoi(argv[++i]);
-    } else {
-      usage();
-    }
-  }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
+// Theorem 2.6 pipeline (or a flood / Luby MIS workload) run once, with a
+// MetricsRegistry always attached and every requested observer on the same
+// run: --trace adds a MetricsCollector (a FlightRecorder with --ring),
+// --profile / --timeline an ExecutionProfiler.
+int cmd_run(int argc, char** argv) {
+  const RunArgs a = parse_run(argc, argv);
+  ecd::graph::Rng rng(a.seed);
+  const Graph g = make_input(a.family, a.n, rng);
+
+  // Outputs open before the run: a bad path fails fast, and the flight
+  // recorder needs its stream for the abort dump.
+  std::ofstream trace_out, report_out, profile_out, timeline_out;
+  if (!a.trace_path.empty()) trace_out = open_or_exit(a.trace_path);
+  if (!a.report_path.empty()) report_out = open_or_exit(a.report_path);
+  if (!a.profile_path.empty()) profile_out = open_or_exit(a.profile_path);
+  if (!a.timeline_path.empty()) timeline_out = open_or_exit(a.timeline_path);
 
   ecd::congest::MetricsRegistry metrics;
-  ecd::core::FrameworkOptions fopt;
-  fopt.seed = seed;
-  fopt.metrics = &metrics;
-  fopt.num_threads = threads;
-  if (distributed) {
-    fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
+  std::optional<ecd::congest::MetricsCollector> collector;
+  std::optional<ecd::congest::FlightRecorder> recorder;
+  ecd::congest::TraceSink* trace = nullptr;
+  if (a.ring > 0) {
+    // A bounded ring of the last --ring rounds, no per-edge aggregation and
+    // no hotspot report: the trace shape for runs too large for the
+    // collector. The ring auto-dumps when the run aborts.
+    ecd::congest::FlightRecorder::Options ropt;
+    ropt.keep_rounds = a.ring;
+    trace = &recorder.emplace(ropt);
+    recorder->set_auto_dump(&trace_out);
+  } else if (!a.trace_path.empty()) {
+    trace = &collector.emplace();
   }
-  if (fault_permille > 0) {
-    fopt.faults.drop_probability = fault_permille / 1000.0;
-    fopt.faults.seed = seed;
-  }
-  auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  std::vector<std::int64_t> answers(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-  // Host-side reversed replay: rounds are charged to the ledger, not the
-  // simulator, so no metrics phase wraps it.
-  ecd::core::return_results(p, answers, "result return (reversed walks)");
+  std::optional<ecd::congest::ExecutionProfiler> profiler;
+  if (!a.profile_path.empty() || !a.timeline_path.empty()) profiler.emplace();
 
-  std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d "
-              "gather_complete=%d\n",
-              family.c_str(), g.num_vertices(), g.num_edges(), eps, threads,
-              p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
+  ecd::congest::NetworkOptions nopt;
+  nopt.num_threads = a.threads;
+  nopt.sparse_serial_threshold = a.sparse_threshold;
+  nopt.trace = trace;
+  nopt.trace_config = a.sample;
+  nopt.metrics = &metrics;
+  nopt.profiler = profiler ? &*profiler : nullptr;
+  if (a.fault_permille > 0) {
+    nopt.faults.seed = a.seed;
+    nopt.faults.drop_probability = a.fault_permille / 1000.0;
+  }
+  if (a.churn_permille > 0) {
+    nopt.faults.churn = ecd::core::make_churn_plan(g, a.seed, a.churn_permille);
+  }
+
+  const bool gather = a.workload == "gather";
+  std::optional<ecd::core::Partition> partition;
+  std::string title;
+  try {
+    if (gather) {
+      ecd::core::FrameworkOptions fopt;
+      fopt.seed = a.seed;
+      fopt.num_threads = nopt.num_threads;
+      fopt.sparse_serial_threshold = nopt.sparse_serial_threshold;
+      fopt.trace = nopt.trace;
+      fopt.trace_config = nopt.trace_config;
+      fopt.metrics = nopt.metrics;
+      fopt.profiler = nopt.profiler;
+      fopt.faults = nopt.faults;
+      if (a.distributed) {
+        fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
+      }
+      partition = ecd::core::partition_and_gather(g, a.eps, fopt);
+      std::vector<std::int64_t> answers(g.num_vertices());
+      for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
+      ecd::core::return_results(*partition, answers,
+                                "result return (reversed walks)");
+      std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d "
+                  "gather_complete=%d\n",
+                  a.family.c_str(), g.num_vertices(), g.num_edges(), a.eps,
+                  a.threads, partition->decomposition.num_clusters,
+                  partition->gather_complete ? 1 : 0);
+      title = "partition_and_gather (" + a.family + ")";
+    } else if (a.workload == "flood") {
+      // One wavefront from vertex 0 over the whole graph (EXPERIMENTS.md
+      // E16's per-round-fixed-cost workload): a one-cluster broadcast.
+      const int n = g.num_vertices();
+      const auto r = ecd::congest::broadcast_from_leaders(
+          g, std::vector<int>(n, 0), std::vector<ecd::graph::VertexId>(n, 0),
+          std::vector<std::int64_t>(n, 1), nopt);
+      std::printf("family=%s n=%d m=%d threads=%d rounds=%lld messages=%lld\n",
+                  a.family.c_str(), n, g.num_edges(), a.threads,
+                  static_cast<long long>(r.stats.rounds),
+                  static_cast<long long>(r.stats.messages_sent));
+      title = "flood (" + a.family + ")";
+    } else {
+      const auto r = ecd::baselines::luby_mis(g, a.seed, nopt);
+      std::printf("family=%s n=%d m=%d threads=%d mis=%zu\n", a.family.c_str(),
+                  g.num_vertices(), g.num_edges(), a.threads,
+                  r.independent_set.size());
+      title = "luby_mis (" + a.family + ")";
+    }
+  } catch (const std::exception& e) {
+    // Network::run dumps the flight ring on every abort; a host-side
+    // failure after the last Network run leaves the file empty.
+    if (recorder && trace_out.tellp() > 0) {
+      std::fprintf(stderr, "run aborted: %s (flight dump in %s)\n", e.what(),
+                   a.trace_path.c_str());
+    } else {
+      std::fprintf(stderr, "run aborted: %s\n", e.what());
+    }
+    return 1;
+  }
+
   std::printf("%-22s %10s %12s %12s %14s\n", "phase", "rounds", "messages",
               "words", "max-edge-load");
   for (const auto& ph : metrics.phases()) {
@@ -493,218 +474,81 @@ int cmd_report(int argc, char** argv) {
   std::printf("critical path: %lld rounds (longest single run %lld)\n",
               static_cast<long long>(metrics.critical_path_total()),
               static_cast<long long>(metrics.critical_path_longest_run()));
-  if (fault_permille > 0) {
-    std::printf("faults: dropped=%lld retransmissions=%lld epochs=%lld\n",
-                static_cast<long long>(totals.messages_dropped),
-                static_cast<long long>(
-                    metrics.counter("gather.retransmissions")->value()),
-                static_cast<long long>(
-                    metrics.counter("gather.epochs")->value()));
-  }
-  std::printf("\nround ledger:\n%s\n", p.ledger.to_string().c_str());
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  ecd::congest::RunReportContext ctx;
-  ctx.title = "partition_and_gather (" + family + ")";
-  ctx.info = {{"family", family},
-              {"n", std::to_string(g.num_vertices())},
-              {"m", std::to_string(g.num_edges())},
-              {"eps", std::to_string(eps)},
-              {"seed", std::to_string(seed)},
-              {"threads", std::to_string(threads)},
-              {"fault_permille", std::to_string(fault_permille)},
-              {"clusters", std::to_string(p.decomposition.num_clusters)}};
-  ctx.top_k_edges = top_k;
-  ecd::congest::write_run_report(out, metrics, ctx);
-  std::printf("wrote %s (ecd-run-report-v1)\n", out_path.c_str());
-  return 0;
-}
-
-// Minimal flood wavefront for the `profile --workload flood` row: vertex 0
-// announces, everyone forwards on first receipt (the per-round-fixed-cost
-// workload of EXPERIMENTS.md E16; matches bench_network's BM_Flood).
-class ProfileFloodAlgo final : public ecd::congest::VertexAlgorithm {
- public:
-  explicit ProfileFloodAlgo(bool is_source) : value_(is_source ? 1 : -1) {}
-
-  void round(ecd::congest::Context& ctx) override {
-    started_ = true;
-    sent_ = false;
-    if (ctx.round() == 0) {
-      if (value_ != -1) forward(ctx);
-      return;
+  if (a.fault_permille > 0) {
+    std::printf("faults: dropped=%lld",
+                static_cast<long long>(totals.messages_dropped));
+    if (gather) {
+      std::printf(" retransmissions=%lld epochs=%lld",
+                  static_cast<long long>(
+                      metrics.counter("gather.retransmissions")->value()),
+                  static_cast<long long>(
+                      metrics.counter("gather.epochs")->value()));
     }
-    if (value_ != -1) return;
-    for (int p = 0; p < ctx.num_ports(); ++p) {
-      if (!ctx.inbox(p).empty()) {
-        value_ = ctx.inbox(p)[0].words[0];
-        forward(ctx);
-        return;
-      }
-    }
+    std::printf("\n");
   }
-  bool finished() const override { return started_ && !sent_; }
-
- private:
-  void forward(ecd::congest::Context& ctx) {
-    sent_ = true;
-    for (int p = 0; p < ctx.num_ports(); ++p) ctx.send(p, {{value_}});
+  if (partition) {
+    std::printf("\nround ledger:\n%s\n", partition->ledger.to_string().c_str());
   }
-  std::int64_t value_;
-  bool started_ = false;
-  bool sent_ = false;
-};
 
-int cmd_profile(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_profile.json", timeline_path;
-  std::string workload = "gather";
-  int n = 1024, threads = 1, fault_permille = 0, churn_permille = 0;
-  int ring = 4096;
-  int sparse_threshold = ecd::congest::NetworkOptions{}.sparse_serial_threshold;
-  double eps = 0.2;
-  std::uint64_t seed = 1;
-  bool distributed = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--fault-permille" && i + 1 < argc) {
-      fault_permille = std::atoi(argv[++i]);
-    } else if (arg == "--churn-permille" && i + 1 < argc) {
-      churn_permille = std::atoi(argv[++i]);
-    } else if (arg == "--workload" && i + 1 < argc) {
-      workload = argv[++i];
-      if (workload != "gather" && workload != "flood" && workload != "mis") {
-        usage();
-      }
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--timeline" && i + 1 < argc) {
-      timeline_path = argv[++i];
-    } else if (arg == "--ring" && i + 1 < argc) {
-      ring = std::atoi(argv[++i]);
-    } else if (arg == "--sparse-threshold" && i + 1 < argc) {
-      sparse_threshold = std::atoi(argv[++i]);
+  if (collector) {
+    std::printf("%s",
+                ecd::congest::hotspot_report(*collector, a.top_k).c_str());
+    const bool jsonl = a.trace_path.ends_with(".jsonl");
+    if (jsonl) {
+      ecd::congest::export_jsonl(*collector, trace_out);
     } else {
-      usage();
+      ecd::congest::export_chrome_trace(*collector, trace_out);
     }
-  }
-  if (churn_permille > 0 && workload == "gather") {
-    // The gather pipeline drives its own Network sequence through the
-    // framework; churn there is an experiment, not a profiler knob.
-    std::fprintf(stderr, "--churn-permille requires --workload flood or mis\n");
-    return 2;
-  }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
-
-  ecd::congest::ExecutionProfiler::Options popt;
-  popt.ring_capacity = ring;
-  ecd::congest::ExecutionProfiler profiler(popt);
-  std::string title;
-  if (workload == "flood") {
-    ecd::congest::NetworkOptions nopt;
-    nopt.num_threads = threads;
-    nopt.sparse_serial_threshold = sparse_threshold;
-    nopt.profiler = &profiler;
-    if (fault_permille > 0) {
-      nopt.faults.seed = seed;
-      nopt.faults.drop_probability = fault_permille / 1000.0;
-    }
-    if (churn_permille > 0) {
-      nopt.faults.churn = ecd::core::make_churn_plan(g, seed, churn_permille);
-    }
-    ecd::congest::Network net(g, nopt);
-    std::vector<std::unique_ptr<ecd::congest::VertexAlgorithm>> algos;
-    algos.reserve(g.num_vertices());
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      algos.push_back(std::make_unique<ProfileFloodAlgo>(v == 0));
-    }
-    const auto stats = net.run(algos);
-    std::printf("family=%s n=%d m=%d threads=%d rounds=%lld\n", family.c_str(),
-                g.num_vertices(), g.num_edges(), threads,
-                static_cast<long long>(stats.rounds));
-    title = "flood (" + family + ")";
-  } else if (workload == "mis") {
-    ecd::congest::NetworkOptions nopt;
-    nopt.num_threads = threads;
-    nopt.sparse_serial_threshold = sparse_threshold;
-    nopt.profiler = &profiler;
-    if (churn_permille > 0) {
-      nopt.faults.churn = ecd::core::make_churn_plan(g, seed, churn_permille);
-    }
-    const auto r = ecd::baselines::luby_mis(g, seed, nopt);
-    std::printf("family=%s n=%d m=%d threads=%d mis=%zu\n", family.c_str(),
-                g.num_vertices(), g.num_edges(), threads,
-                r.independent_set.size());
-    title = "luby_mis (" + family + ")";
-  } else {
-    ecd::core::FrameworkOptions fopt;
-    fopt.seed = seed;
-    fopt.profiler = &profiler;
-    fopt.num_threads = threads;
-    fopt.sparse_serial_threshold = sparse_threshold;
-    if (distributed) {
-      fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
-    }
-    if (fault_permille > 0) {
-      fopt.faults.drop_probability = fault_permille / 1000.0;
-      fopt.faults.seed = seed;
-    }
-    auto p = ecd::core::partition_and_gather(g, eps, fopt);
-    std::vector<std::int64_t> answers(g.num_vertices());
-    for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-    ecd::core::return_results(p, answers, "result return (reversed walks)");
-    std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d\n",
-                family.c_str(), g.num_vertices(), g.num_edges(), eps, threads,
-                p.decomposition.num_clusters);
-    title = "partition_and_gather (" + family + ")";
+    std::printf("wrote %s (%s format)\n", a.trace_path.c_str(),
+                jsonl ? "jsonl" : "chrome");
+  } else if (recorder) {
+    recorder->dump_jsonl(trace_out);
+    std::printf("wrote %s (flight format, %lld events retained, %lld"
+                " dropped, last round %lld)\n",
+                a.trace_path.c_str(),
+                static_cast<long long>(recorder->events_retained()),
+                static_cast<long long>(recorder->events_dropped()),
+                static_cast<long long>(recorder->last_round()));
   }
 
-  const auto summary = profiler.summary();
-  std::printf("%s", ecd::congest::format_profile_table(summary).c_str());
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  ecd::congest::ProfileReportContext ctx;
-  ctx.title = title;
-  ctx.info = {{"workload", workload},
-              {"family", family},
-              {"n", std::to_string(g.num_vertices())},
-              {"m", std::to_string(g.num_edges())},
-              {"eps", std::to_string(eps)},
-              {"seed", std::to_string(seed)},
-              {"threads", std::to_string(threads)},
-              {"fault_permille", std::to_string(fault_permille)},
-              {"churn_permille", std::to_string(churn_permille)}};
-  ecd::congest::write_profile_report(out, profiler, ctx);
-  std::printf("wrote %s (ecd-profile-v1)\n", out_path.c_str());
-  if (!timeline_path.empty()) {
-    std::ofstream tl(timeline_path);
-    if (!tl) {
-      std::fprintf(stderr, "cannot write %s\n", timeline_path.c_str());
-      return 1;
+  const std::vector<std::pair<std::string, std::string>> info = {
+      {"family", a.family},
+      {"n", std::to_string(g.num_vertices())},
+      {"m", std::to_string(g.num_edges())},
+      {"eps", std::to_string(a.eps)},
+      {"seed", std::to_string(a.seed)},
+      {"threads", std::to_string(a.threads)},
+      {"fault_permille", std::to_string(a.fault_permille)}};
+  if (!a.report_path.empty()) {
+    ecd::congest::RunReportContext ctx;
+    ctx.title = title;
+    ctx.info = info;
+    if (partition) {
+      ctx.info.emplace_back(
+          "clusters", std::to_string(partition->decomposition.num_clusters));
     }
-    profiler.write_chrome_trace(tl);
+    ctx.top_k_edges = a.top_k;
+    ecd::congest::write_run_report(report_out, metrics, ctx);
+    std::printf("wrote %s (ecd-run-report-v1)\n", a.report_path.c_str());
+  }
+
+  if (profiler) {
+    const auto summary = profiler->summary();
+    std::printf("%s", ecd::congest::format_profile_table(summary).c_str());
+  }
+  if (!a.profile_path.empty()) {
+    ecd::congest::ProfileReportContext ctx;
+    ctx.title = title;
+    ctx.info = info;
+    ctx.info.insert(ctx.info.begin(), {"workload", a.workload});
+    ctx.info.emplace_back("churn_permille", std::to_string(a.churn_permille));
+    ecd::congest::write_profile_report(profile_out, *profiler, ctx);
+    std::printf("wrote %s (ecd-profile-v1)\n", a.profile_path.c_str());
+  }
+  if (!a.timeline_path.empty()) {
+    profiler->write_chrome_trace(timeline_out);
     std::printf("wrote %s (chrome trace, one tid per shard)\n",
-                timeline_path.c_str());
+                a.timeline_path.c_str());
   }
   return 0;
 }
@@ -924,9 +768,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
   if (cmd == "gen") return cmd_gen(argc, argv);
-  if (cmd == "trace") return cmd_trace(argc, argv);
-  if (cmd == "report") return cmd_report(argc, argv);
-  if (cmd == "profile") return cmd_profile(argc, argv);
+  if (cmd == "run") return cmd_run(argc, argv);
   if (cmd == "sweep") return cmd_sweep(argc, argv);
   if (argc < 3) usage();
   const Options o = parse(argc, argv, 2);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "src/congest/metrics.h"
@@ -26,6 +27,13 @@ using graph::Graph;
 using graph::VertexId;
 
 namespace {
+
+// Thrown when max_rounds compute rounds ran out; callers see a
+// std::runtime_error, run() tells it apart from an algorithm's own throw.
+class MaxRoundsExceeded final : public std::runtime_error {
+ public:
+  MaxRoundsExceeded() : std::runtime_error("network: max_rounds exceeded") {}
+};
 
 // Ceiling on each preallocated arena buffer, in bytes. An enforced network
 // whose 2m * bandwidth_tokens * sizeof(Message) footprint exceeds this
@@ -629,22 +637,20 @@ RunStats Network::run(std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms)
   if (trace) trace->on_run_begin(n_, g_.num_edges(), options_);
   RunStats stats;
   if (!trace) {
-    stats = num_shards_ == 1 ? run_serial(algorithms) : run_parallel(algorithms);
+    stats = run_rounds(algorithms);
   } else {
     // Workers stash violations instead of calling the sink; clear stale
     // stashes from a previous aborted run before dispatching.
     for (ShardAccum& acc : shard_accum_) acc.violation_armed = false;
-    // Abnormal unwinds notify the sink before propagating, so a flight
-    // recorder can dump its ring as the post-mortem artifact. Catch order
-    // matters: CongestionError is a runtime_error.
+    // Every abnormal unwind notifies the sink before propagating, so a
+    // flight recorder can dump its ring as the post-mortem artifact.
     try {
-      stats =
-          num_shards_ == 1 ? run_serial(algorithms) : run_parallel(algorithms);
+      stats = run_rounds(algorithms);
     } catch (const CongestionError&) {
-      // Emit the lowest armed shard's stashed violation (parallel runs
-      // only; the serial path already called the sink at the throw site).
+      // Emit the lowest armed shard's stashed violation (multi-shard runs
+      // only; one shard already called the sink at the throw site).
       // run_phases rethrows the lowest shard's exception, so this is the
-      // violation the caller sees — and the one the serial loop reports.
+      // violation the caller sees — the one a one-shard run reports.
       for (const ShardAccum& acc : shard_accum_) {
         if (!acc.violation_armed) continue;
         trace->on_violation(CongestionError(
@@ -654,8 +660,11 @@ RunStats Network::run(std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms)
       }
       trace->on_abort("congestion");
       throw;
-    } catch (const std::runtime_error&) {
+    } catch (const MaxRoundsExceeded&) {
       trace->on_abort("max_rounds");
+      throw;
+    } catch (...) {
+      trace->on_abort("algorithm_error");
       throw;
     }
     trace->on_run_end(stats);
@@ -664,84 +673,6 @@ RunStats Network::run(std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms)
   stats.duration_ns = ExecutionProfiler::now_ns() - t0;
   if (metrics_) metrics_end_run(stats);
   return stats;
-}
-
-RunStats Network::run_serial(
-    std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms) {
-  TraceSink* const trace = options_.trace;
-  RunStats stats;
-  int unfinished = 0;
-  for (VertexId v = 0; v < n_; ++v) {
-    finished_[v] = algorithms[v]->finished() ? 1 : 0;
-    if (!finished_[v]) ++unfinished;
-  }
-  for (std::int64_t r = 0;; ++r) {
-    if (unfinished == 0 && pending_injected_ == 0) {
-      stats.rounds = r;
-      return stats;
-    }
-    // Strict budget: at most max_rounds compute rounds ever execute.
-    if (r >= options_.max_rounds) {
-      throw std::runtime_error("network: max_rounds exceeded");
-    }
-    if (churn_active_) {
-      if (profiler_) {
-        const std::int64_t c0 = ExecutionProfiler::now_ns();
-        apply_churn(r, algorithms, unfinished);
-        profiler_->add_churn_ns(ExecutionProfiler::now_ns() - c0);
-      } else {
-        apply_churn(r, algorithms, unfinished);
-      }
-      if (trace && round_churn_events_ > 0 && trace_round_sampled(r)) {
-        trace->on_churn(r, static_cast<int>(round_churn_events_));
-      }
-    }
-    const int out = 1 - in_;
-    // One round's partial statistics (num_shards_ == 1 here, so shard 0's
-    // accumulator is the round's); folded into `stats` and handed to the
-    // observers once delivery completes.
-    ShardAccum& racc = shard_accum_[0];
-    if (profiler_) profiler_->compute_begin(0);
-    compute_shard(0, r, algorithms);
-    if (profiler_) {
-      profiler_->compute_end(0);
-      profiler_->deliver_begin(0);
-    }
-    const std::int64_t fault_ns = deliver_shard(0, out, r);
-    // Traced delivery events replay from the lane deliver_shard filled, in
-    // sender-(vertex, port) order — the order the pre-arena simulator
-    // emitted and trace fixtures were recorded in. The parallel loop runs
-    // the identical replay at its barrier, which is what makes the event
-    // stream byte-identical across thread counts (DESIGN.md §18).
-    if (trace) trace_replay_round(r, out);
-    if (profiler_) {
-      profiler_->deliver_end(0, fault_ns);
-      profiler_->reduce_begin();
-    }
-    if (churn_active_) {
-      // Fold the round's churn accounting into the shard stats before the
-      // observers see them: fired events from apply_churn, dead-port sends
-      // staged by the compute phase.
-      racc.stats.churn_events += round_churn_events_;
-      racc.stats.messages_purged += racc.churn_sends_dropped;
-    }
-    stats += racc.stats;
-    unfinished += racc.unfinished_delta;
-    pending_injected_ += racc.injected_delta;
-    if (trace && trace_round_sampled(r)) {
-      trace->on_round_end(r, racc.stats.messages_sent, racc.stats.words_sent,
-                          racc.stats.max_edge_load);
-    }
-    if (metrics_) {
-      metrics_->record_round(racc.stats);
-      metrics_apply_round();
-    }
-    if (profiler_) {
-      profiler_->reduce_end();
-      profiler_->round_end();
-    }
-    in_ = out;
-  }
 }
 
 void Network::compute_shard(
@@ -1239,7 +1170,7 @@ void Network::trace_violation(const CongestionError& err, int shard) {
   acc.violation_budget = err.budget();
 }
 
-RunStats Network::run_parallel(
+RunStats Network::run_rounds(
     std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms) {
   TraceSink* const trace = options_.trace;
   RunStats stats;
@@ -1254,7 +1185,7 @@ RunStats Network::run_parallel(
       return stats;
     }
     if (r >= options_.max_rounds) {
-      throw std::runtime_error("network: max_rounds exceeded");
+      throw MaxRoundsExceeded();
     }
     // Churn fires on the caller thread before the member census, so a
     // joined vertex is counted (and its shard dispatched) this round, and
@@ -1377,7 +1308,8 @@ RunStats Network::run_parallel(
     }
     // Every delivery is behind the dispatch barrier (or ran inline on the
     // sparse path), so the lanes are complete: replay the round's trace
-    // events on the caller, in the same sorted order the serial loop uses.
+    // events on the caller, in sender-(vertex, port) order at every shard
+    // count.
     if (trace) trace_replay_round(r, out);
     // Barrier reduction in shard order: the per-round RunStats is combined
     // once so it can feed both the run totals and the metrics registry.

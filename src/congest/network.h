@@ -105,7 +105,7 @@ struct NetworkOptions {
   // before. Works at every num_threads value (DESIGN.md §18): with worker
   // threads, delivery records per-shard event lanes that replay on the
   // caller thread at the round barrier in sender-(vertex, port) order —
-  // the same order the serial loop emits — so the event stream is
+  // the same order a one-shard run emits — so the event stream is
   // byte-identical across thread counts.
   TraceSink* trace = nullptr;
   // Sampling filters for `trace` (ignored when trace is null). The
@@ -190,8 +190,7 @@ struct RunStats {
 
   // Combines statistics the way consecutive (or per-shard partial) runs
   // combine: every count adds, max_edge_load takes the max. Used verbatim
-  // by the serial round loop, the sharded barrier reduction, and
-  // RoundLedger::add_measured.
+  // by the round loop's per-shard reduction and RoundLedger::add_measured.
   RunStats& operator+=(const RunStats& other) {
     rounds += other.rounds;
     messages_sent += other.messages_sent;
@@ -332,8 +331,10 @@ class Network {
   // round 0 (round 0 precedes any message exchange, so all n vertices
   // step; from round 1 on the worklists carry only active vertices).
   void prime_worklists();
-  RunStats run_serial(std::vector<std::unique_ptr<VertexAlgorithm>>& algos);
-  RunStats run_parallel(std::vector<std::unique_ptr<VertexAlgorithm>>& algos);
+  // The round loop, at every shard count: a round with one member shard
+  // (always, when num_shards_ == 1) or few active vertices runs inline on
+  // the caller; the rest dispatch on the pool.
+  RunStats run_rounds(std::vector<std::unique_ptr<VertexAlgorithm>>& algos);
   // True when shard s has a crash event scheduled at or before round r
   // that its compute phase has not yet retired.
   bool crash_due(int s, std::int64_t r) const {
@@ -369,9 +370,8 @@ class Network {
 
   // Per-shard phase outputs, reduced on the caller thread at the round
   // barrier via RunStats::operator+=; padded so workers never share a
-  // cache line. The serial loop uses one stack instance per round so the
-  // fault hook below is shared verbatim between both run loops.
-  // `stats.rounds` stays 0 — the reduction adds 1 round per barrier.
+  // cache line. `stats.rounds` stays 0 — the reduction adds 1 round per
+  // barrier.
   struct alignas(64) ShardAccum {
     RunStats stats;
     int unfinished_delta = 0;
@@ -383,11 +383,11 @@ class Network {
     // writes it while deliver_shard resets the stats block; the barrier
     // reduction folds it in.
     std::int64_t churn_sends_dropped = 0;
-    // Traced parallel runs stash the shard's first congestion violation
-    // here instead of calling the sink from a worker; run_parallel emits
-    // the lowest armed shard's record before rethrowing — the same
-    // violation the serial loop would have reported, because run_phases
-    // rethrows the lowest-shard exception.
+    // Traced multi-shard runs stash the shard's first congestion violation
+    // here instead of calling the sink from a worker; run() emits the
+    // lowest armed shard's record before rethrowing — the same violation a
+    // one-shard run reports, because run_phases rethrows the lowest-shard
+    // exception.
     bool violation_armed = false;
     CongestionError::Kind violation_kind = CongestionError::Kind::kBandwidth;
     std::int64_t violation_round = 0;

@@ -99,9 +99,11 @@ class TraceSink {
   virtual void on_violation(const CongestionError& err) { (void)err; }
 
   // The run is unwinding abnormally: `reason` is "congestion"
-  // (CongestionError — the violation above was already reported) or
-  // "max_rounds". Fired from Network::run before the exception propagates;
-  // flight recorders use it to dump their ring (post-mortem artifact).
+  // (CongestionError — the violation above was already reported),
+  // "max_rounds" (the round budget ran out) or "algorithm_error" (any other
+  // exception, e.g. one a VertexAlgorithm threw). Fired from Network::run
+  // before the exception propagates; flight recorders use it to dump their
+  // ring (post-mortem artifact).
   virtual void on_abort(const char* reason) { (void)reason; }
 
   // Named phase spans; may nest (a span closed is the innermost open one).
@@ -270,7 +272,7 @@ class MetricsCollector : public TraceSink {
 // sparse_alloc_test) and memory is fixed at construction — the sink for
 // traced runs at n >= 10^6, where MetricsCollector's per-round/per-edge
 // growth is the problem this class exists to avoid. On an abnormal run end
-// (CongestionError, max_rounds — TraceSink::on_abort) the ring dumps
+// (any exception out of Network::run — TraceSink::on_abort) the ring dumps
 // itself to the configured stream automatically, shipping the last K
 // rounds of events as the failure artifact.
 class FlightRecorder : public TraceSink {

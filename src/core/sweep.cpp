@@ -197,45 +197,10 @@ class LubySweep final : public SweepAlgo {
 
 // --- Topology families ------------------------------------------------------
 
-// The `ecd_cli gen` family vocabulary (kept in sync with make_family there;
-// validate() rejects anything else before construction is attempted).
 Graph make_family_graph(const std::string& family, int n,
                         std::uint64_t topo_seed) {
   graph::Rng rng(topo_seed);
-  if (family == "grid") {
-    int side = 1;
-    while (side * side < n) ++side;
-    return graph::grid(side, side);
-  }
-  if (family == "tri") return graph::random_maximal_planar(n, rng);
-  if (family == "planar") return graph::random_planar(n, 2 * n, rng);
-  if (family == "outer") return graph::random_outerplanar(n, rng);
-  if (family == "twotree") return graph::random_two_tree(n, rng);
-  if (family == "tree") return graph::random_tree(n, rng);
-  if (family == "torus") {
-    int side = 3;
-    while (side * side < n) ++side;
-    return graph::torus_grid(side, side);
-  }
-  if (family == "hypercube") {
-    int dim = 1;
-    while ((1 << dim) < n) ++dim;
-    return graph::hypercube(dim);
-  }
-  if (family == "expander") {
-    return graph::random_regular(n - (n % 2), 6, rng);
-  }
-  throw std::invalid_argument("sweep: unknown family '" + family + "'");
-}
-
-bool known_family(const std::string& family) {
-  static constexpr const char* kFamilies[] = {
-      "grid", "tri",  "planar",    "outer",    "twotree",
-      "tree", "torus", "hypercube", "expander"};
-  for (const char* f : kFamilies) {
-    if (family == f) return true;
-  }
-  return false;
+  return graph::make_family(family, n, rng);
 }
 
 bool known_algorithm(const std::string& algorithm) {
@@ -484,7 +449,7 @@ void SweepSpec::validate() const {
   require(!fault_permille.empty(), "'fault_permille' must not be empty");
   require(!churn_permille.empty(), "'churn_permille' must not be empty");
   for (const std::string& f : families) {
-    if (!known_family(f)) {
+    if (!graph::is_family(f)) {
       throw std::invalid_argument("sweep spec: unknown family '" + f + "'");
     }
   }

@@ -409,6 +409,61 @@ std::vector<EdgeSign> planted_signs(const Graph& g, int target_cluster_size,
   return signs;
 }
 
+namespace {
+
+struct NamedFamily {
+  std::string_view name;
+  Graph (*build)(int n, Rng& rng);
+};
+
+int square_side(int n, int min_side) {
+  int side = min_side;
+  while (side * side < n) ++side;
+  return side;
+}
+
+constexpr NamedFamily kFamilies[] = {
+    {"grid",
+     [](int n, Rng&) { return grid(square_side(n, 1), square_side(n, 1)); }},
+    {"tri", [](int n, Rng& rng) { return random_maximal_planar(n, rng); }},
+    {"planar", [](int n, Rng& rng) { return random_planar(n, 2 * n, rng); }},
+    {"outer", [](int n, Rng& rng) { return random_outerplanar(n, rng); }},
+    {"twotree", [](int n, Rng& rng) { return random_two_tree(n, rng); }},
+    {"tree", [](int n, Rng& rng) { return random_tree(n, rng); }},
+    {"torus",
+     [](int n, Rng&) {
+       return torus_grid(square_side(n, 3), square_side(n, 3));
+     }},
+    {"hypercube",
+     [](int n, Rng&) {
+       int dim = 1;
+       while ((1 << dim) < n) ++dim;
+       return hypercube(dim);
+     }},
+    {"expander",
+     [](int n, Rng& rng) { return random_regular(n - (n % 2), 6, rng); }},
+};
+
+const NamedFamily* find_family(std::string_view name) {
+  for (const NamedFamily& f : kFamilies) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Graph make_family(std::string_view name, int n, Rng& rng) {
+  const NamedFamily* f = find_family(name);
+  if (f == nullptr) {
+    throw std::invalid_argument("unknown graph family '" + std::string(name) +
+                                "'");
+  }
+  return f->build(n, rng);
+}
+
+bool is_family(std::string_view name) { return find_family(name) != nullptr; }
+
 Graph disjoint_union(const std::vector<Graph>& parts) {
   int n = 0;
   std::vector<Edge> edges;

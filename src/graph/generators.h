@@ -11,6 +11,7 @@
 #pragma once
 
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -84,6 +85,21 @@ std::vector<Weight> random_weights(const Graph& g, Weight max_weight, Rng& rng);
 // independently with probability `noise`.
 std::vector<EdgeSign> planted_signs(const Graph& g, int target_cluster_size,
                                     double noise, Rng& rng);
+
+// --- Named families ----------------------------------------------------------
+
+// The family vocabulary shared by `ecd_cli gen`/`run`, the sweep engine and
+// the bench harness: grid, tri (random_maximal_planar), planar
+// (random_planar with m = 2n), outer, twotree, tree, torus, hypercube and
+// expander (random 6-regular). Builds a member with ~n vertices: grid and
+// torus round n up to a square side (torus at least 3x3), hypercube up to a
+// power of two, expander down to an even n. Random families draw from `rng`,
+// so a caller can keep drawing from the same stream afterwards. Throws
+// std::invalid_argument on an unknown name.
+Graph make_family(std::string_view name, int n, Rng& rng);
+
+// True iff make_family accepts `name`.
+bool is_family(std::string_view name);
 
 // --- Composition ---------------------------------------------------------------
 

@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -368,6 +372,41 @@ TEST(Metrics, BiconnectedOfBiconnectedGraphIsOneBlock) {
   const auto blocks = biconnected_components(t);
   EXPECT_EQ(blocks.size(), 29u);
   for (const auto& b : blocks) EXPECT_EQ(b.size(), 1u);
+}
+
+std::string edge_list(const Graph& g) {
+  std::ostringstream os;
+  write_edge_list(g, os);
+  return os.str();
+}
+
+// make_family builds exactly what the direct generator call builds from the
+// same Rng stream, and leaves the stream where the direct call leaves it.
+TEST(Generators, MakeFamilyMatchesDirectGeneratorCalls) {
+  const int n = 50;  // grid/torus round up to 8x8, hypercube to 2^6
+  const std::vector<std::pair<const char*, std::function<Graph(Rng&)>>>
+      cases = {
+          {"grid", [](Rng&) { return grid(8, 8); }},
+          {"tri", [](Rng& r) { return random_maximal_planar(n, r); }},
+          {"planar", [](Rng& r) { return random_planar(n, 2 * n, r); }},
+          {"outer", [](Rng& r) { return random_outerplanar(n, r); }},
+          {"twotree", [](Rng& r) { return random_two_tree(n, r); }},
+          {"tree", [](Rng& r) { return random_tree(n, r); }},
+          {"torus", [](Rng&) { return torus_grid(8, 8); }},
+          {"hypercube", [](Rng&) { return hypercube(6); }},
+          {"expander", [](Rng& r) { return random_regular(n, 6, r); }},
+      };
+  for (const auto& [name, direct] : cases) {
+    EXPECT_TRUE(is_family(name)) << name;
+    Rng via_name(7), via_call(7);
+    const Graph got = make_family(name, n, via_name);
+    const Graph want = direct(via_call);
+    EXPECT_EQ(edge_list(got), edge_list(want)) << name;
+    EXPECT_EQ(via_name(), via_call()) << name;
+  }
+  Rng rng(1);
+  EXPECT_FALSE(is_family("nope"));
+  EXPECT_THROW(make_family("nope", n, rng), std::invalid_argument);
 }
 
 TEST(Subgraph, InducedCarriesAttributes) {

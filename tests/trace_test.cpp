@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
@@ -749,6 +752,76 @@ TEST(FlightRecorderTest, AutoDumpsRingOnCongestionAbort) {
   EXPECT_NE(text.find("\"kind\":\"bandwidth\""), std::string::npos);
   EXPECT_NE(text.find("\"used\":2"), std::string::npos);
   EXPECT_NE(text.find("\"budget\":1"), std::string::npos);
+}
+
+// Sends on every port each round and throws `E` at round 2; never finishes.
+template <class E>
+class ThrowAtRoundTwoAlgo final : public VertexAlgorithm {
+ public:
+  void round(Context& ctx) override {
+    if (ctx.round() == 2) throw E("algorithm bug");
+    for (int p = 0; p < ctx.num_ports(); ++p) ctx.send(p, {{ctx.round()}});
+  }
+  bool finished() const override { return false; }
+};
+
+template <class E>
+std::vector<std::unique_ptr<VertexAlgorithm>> make_throwers(const Graph& g) {
+  std::vector<std::unique_ptr<VertexAlgorithm>> algos;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    algos.push_back(std::make_unique<ThrowAtRoundTwoAlgo<E>>());
+  }
+  return algos;
+}
+
+// Every exception out of a run reaches on_abort, not only CongestionError
+// and max_rounds: a VertexAlgorithm's own logic_error still ships the dump.
+TEST(FlightRecorderTest, AutoDumpsRingWhenAnAlgorithmThrows) {
+  const Graph g = graph::grid(4, 4);
+  for (int threads : {1, 4}) {
+    FlightRecorder fr;
+    std::ostringstream dump;
+    fr.set_auto_dump(&dump);
+    NetworkOptions opt;
+    opt.trace = &fr;
+    opt.num_threads = threads;
+    opt.sparse_serial_threshold = 0;
+    Network net(g, opt);
+    auto algos = make_throwers<std::logic_error>(g);
+    EXPECT_THROW(net.run(algos), std::logic_error);
+    const std::string text = dump.str();
+    EXPECT_NE(text.find("\"type\":\"flight\""), std::string::npos) << threads;
+    EXPECT_NE(text.find("\"type\":\"round\""), std::string::npos) << threads;
+  }
+}
+
+class AbortReasonSink final : public TraceSink {
+ public:
+  void on_abort(const char* reason) override { reasons.emplace_back(reason); }
+  std::vector<std::string> reasons;
+};
+
+// "max_rounds" labels round-budget exhaustion only; an algorithm's own
+// runtime_error is an "algorithm_error".
+TEST(Trace, AbortReasonSeparatesMaxRoundsFromAlgorithmErrors) {
+  const Graph g = graph::path(4);
+  AbortReasonSink sink;
+  NetworkOptions opt;
+  opt.trace = &sink;
+  opt.max_rounds = 2;  // exhausted before the round-2 throw
+  {
+    Network net(g, opt);
+    auto algos = make_throwers<std::runtime_error>(g);
+    EXPECT_THROW(net.run(algos), std::runtime_error);
+  }
+  opt.max_rounds = 100;
+  {
+    Network net(g, opt);
+    auto algos = make_throwers<std::runtime_error>(g);
+    EXPECT_THROW(net.run(algos), std::runtime_error);
+  }
+  EXPECT_EQ(sink.reasons,
+            (std::vector<std::string>{"max_rounds", "algorithm_error"}));
 }
 
 TEST(FlightRecorderTest, RecordsRunLifecycleAndStaysWithinCapacity) {

@@ -566,24 +566,6 @@ void Network::prime_worklists() {
   std::fill(crash_cursor_.begin(), crash_cursor_.end(), std::size_t{0});
 }
 
-void Network::retire_inbox_buffer() {
-  for (std::vector<int>& bucket : active_[in_]) {
-    for (const int gp : bucket) {
-      if (arena_mode_) {
-        counts_[in_][gp] = 0;
-      } else {
-        boxes_[in_][gp].clear();
-      }
-      if (faults_active_) {
-        injected_[in_][gp] = 0;
-        if (!arena_mode_) stage_boxes_[in_][gp].clear();
-      }
-      mail_[in_][port_owner_[gp]] = 0;
-    }
-    bucket.clear();
-  }
-}
-
 void Network::reset_for_run() {
   reset_mailboxes();
   prime_worklists();

@@ -326,7 +326,6 @@ class Network {
 
   // Clears any mailbox state left by a previous (possibly aborted) run.
   void reset_mailboxes();
-  void retire_inbox_buffer();
   // Clears stale worklist/crash-cursor state and queues every vertex for
   // round 0 (round 0 precedes any message exchange, so all n vertices
   // step; from round 1 on the worklists carry only active vertices).

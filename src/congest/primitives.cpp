@@ -890,17 +890,6 @@ ReliableGatherResult reliable_walk_gather(
     }
     return out;
   };
-  const auto add_stats = [&](const RunStats& s) {
-    gather.stats.rounds += s.rounds;
-    gather.stats.messages_sent += s.messages_sent;
-    gather.stats.words_sent += s.words_sent;
-    gather.stats.max_edge_load =
-        std::max(gather.stats.max_edge_load, s.max_edge_load);
-    gather.stats.messages_dropped += s.messages_dropped;
-    gather.stats.messages_duplicated += s.messages_duplicated;
-    gather.stats.messages_delayed += s.messages_delayed;
-    gather.stats.vertices_crashed += s.vertices_crashed;
-  };
 
   result.final_leader_of = leader_of;
   std::int64_t base_round = 0;
@@ -951,7 +940,7 @@ ReliableGatherResult reliable_walk_gather(
       const LeaderElectionResult elect =
           elect_cluster_leaders(g, cluster_of, eopt);
       result.final_leader_of = elect.leader_of;
-      add_stats(elect.stats);
+      gather.stats += elect.stats;
       base_round += elect.stats.rounds;
       ++result.reelections;
     }
@@ -1019,7 +1008,7 @@ ReliableGatherResult reliable_walk_gather(
     }
     Network network(g, nopt);
     const RunStats stats = network.run(algos);
-    add_stats(stats);
+    gather.stats += stats;
     base_round += stats.rounds;
     ++result.epochs;
     for (VertexId v = 0; v < n; ++v) {

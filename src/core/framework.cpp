@@ -8,7 +8,6 @@
 #include "src/congest/metrics.h"
 #include "src/congest/trace.h"
 #include "src/expander/distributed_decomposition.h"
-#include "src/expander/weighted.h"
 #include "src/graph/metrics.h"
 #include "src/graph/splitmix.h"
 
@@ -105,14 +104,8 @@ Partition partition_and_gather(const Graph& g, double eps,
       out.ledger.add_measured("expander decomposition (distributed sweep)",
                               dd.measured_rounds);
     } else {
-      if (options.weighted_volumes && g.is_weighted()) {
-        out.decomposition =
-            expander::expander_decompose_weighted(g, out.eps_effective, dopt)
-                .base;
-      } else {
-        out.decomposition =
-            expander::expander_decompose(g, out.eps_effective, dopt);
-      }
+      out.decomposition =
+          expander::expander_decompose(g, out.eps_effective, dopt);
       out.ledger.add_modeled(
           "expander decomposition (Thm 2.1/2.2)",
           congest::modeled_decomposition_rounds(n, out.eps_effective,
@@ -189,13 +182,12 @@ Partition partition_and_gather(const Graph& g, double eps,
       options.walk_bandwidth > 0
           ? options.walk_bandwidth
           : std::max(1, static_cast<int>(std::ceil(std::log2(std::max(2, n)))));
-  if (options.reliable_gather || options.faults.enabled()) {
+  if (options.faults.enabled()) {
     congest::ReliableGatherOptions ropt;
     ropt.net = gopt.net;
     ropt.net.faults = options.faults;
     ropt.seed = gopt.seed;
     ropt.epoch_rounds = options.gather_epoch_rounds;
-    ropt.max_epochs = options.gather_max_epochs;
     TRACE_SPAN(options.trace, "phase:gather");
     congest::MetricsPhase mphase(options.metrics, "phase:gather");
     congest::ReliableGatherResult reliable = congest::reliable_walk_gather(

@@ -54,10 +54,6 @@ struct FrameworkOptions {
   // Divide ε by the graph-class density bound t (Theorem 2.6's ε' = ε/t).
   // When 0 the bound is taken as max(1, ceil(|E|/|V|)) of the input.
   int density_bound = 0;
-  // Use weighted volumes in the decomposition (inter-cluster *weight*
-  // <= ε'·w(E) instead of edge count) — the §1.3 weighted-problems variant.
-  // Ignored on unweighted graphs.
-  bool weighted_volumes = false;
   // Observability (src/congest/trace.h): when set, the pipeline opens a
   // "phase:*" span around each of its five phases (decomposition, election,
   // orientation, gather, reconstruct), the primitives nest their own spans
@@ -94,14 +90,12 @@ struct FrameworkOptions {
   // Fault plan applied to the gather phase (the data plane); crash rounds
   // are interpreted on the gather's own round timeline. Control phases
   // (election, orientation) stay message-reliable — the §12 control-plane
-  // assumption. An enabled plan implies `reliable_gather`.
+  // assumption. An enabled plan routes the walk phase through
+  // reliable_walk_gather (per-token sequence numbers, ack/retransmit,
+  // crash-stop leader re-election), in epochs of `gather_epoch_rounds`
+  // rounds, at most ReliableGatherOptions::max_epochs of them.
   congest::FaultPlan faults;
-  // Route the walk phase through reliable_walk_gather (per-token sequence
-  // numbers, ack/retransmit, crash-stop leader re-election) even with an
-  // empty fault plan.
-  bool reliable_gather = false;
   int gather_epoch_rounds = 512;
-  int gather_max_epochs = 8;
 };
 
 struct Cluster {

@@ -22,7 +22,7 @@ MwmApproxResult mwm_approx(const Graph& g, double eps,
 
   for (int phase = 0; phase < result.phases; ++phase) {
     FrameworkOptions fopt = options.framework;
-    fopt.weighted_volumes = options.weighted_decomposition;
+    fopt.decomposition.weighted_volumes = options.weighted_decomposition;
     fopt.seed = options.framework.seed + 0x51ED2701ULL * (phase + 1);
     if (fopt.deterministic) {
       // Deterministic mode still needs phase-distinct decompositions; the

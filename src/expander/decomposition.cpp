@@ -6,9 +6,7 @@
 #include <stdexcept>
 
 #include "src/expander/conductance.h"
-#include "src/expander/sweep_cut.h"
 #include "src/graph/splitmix.h"
-#include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
 
 namespace ecd::expander {
@@ -17,25 +15,6 @@ using graph::Graph;
 using graph::VertexId;
 
 namespace {
-
-// Exact minimum-conductance cut by enumeration (n <= 16).
-SweepResult exact_min_cut(const Graph& g) {
-  const int n = g.num_vertices();
-  SweepResult best;
-  if (n < 2 || g.num_edges() == 0) return best;
-  std::vector<bool> in_s(n);
-  for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
-    for (int v = 1; v < n; ++v) in_s[v] = (mask >> (v - 1)) & 1u;
-    in_s[0] = false;
-    const double phi = cut_conductance(g, in_s);
-    if (phi > 0.0 && (!best.valid || phi < best.conductance)) {
-      best.in_s = in_s;
-      best.conductance = phi;
-      best.valid = true;
-    }
-  }
-  return best;
-}
 
 // Splits `vertices` (a subset of g) into connected components of G[vertices].
 std::vector<std::vector<VertexId>> split_components(
@@ -75,6 +54,7 @@ struct Attempt {
 Attempt decompose_with_phi(const Graph& g, double phi,
                            const DecompositionOptions& options) {
   const int n = g.num_vertices();
+  const bool weighted = options.weighted_volumes && g.is_weighted();
   Attempt attempt;
   attempt.cluster_of.assign(n, -1);
 
@@ -99,10 +79,11 @@ Attempt decompose_with_phi(const Graph& g, double phi,
     SweepResult cut;
     if (sub.graph.num_vertices() <=
         std::min(options.exact_cut_threshold, 16)) {
-      cut = exact_min_cut(sub.graph);
+      cut = exact_min_cut(sub.graph, weighted);
     } else {
       cut = spectral_cut(sub.graph, options.spectral_iterations, cut_seed,
-                         options.deterministic ? 1 : options.spectral_restarts);
+                         options.deterministic ? 1 : options.spectral_restarts,
+                         weighted);
       // Chain per-piece sub-seeds through splitmix64 (the canonical
       // splitmix stream) instead of += 104729, which reused streams across
       // nearby user seeds and pieces.
@@ -118,7 +99,8 @@ Attempt decompose_with_phi(const Graph& g, double phi,
     } else {
       finalize(piece, certified_conductance_lower_bound(
                           sub.graph, options.exact_cut_threshold,
-                          options.spectral_iterations, options.seed));
+                          options.spectral_iterations, options.seed,
+                          weighted));
     }
   }
   return attempt;
@@ -143,20 +125,30 @@ ExpanderDecomposition expander_decompose(const Graph& g, double eps,
     result.num_clusters = attempt.num_clusters;
     result.cluster_phi_certified = std::move(attempt.cluster_phi);
     result.phi = phi;
-    result.is_inter_cluster.assign(m, false);
-    result.inter_cluster_edges = 0;
-    for (graph::EdgeId e = 0; e < m; ++e) {
-      const graph::Edge ed = g.edge(e);
-      if (result.cluster_of[ed.u] != result.cluster_of[ed.v]) {
-        result.is_inter_cluster[e] = true;
-        ++result.inter_cluster_edges;
-      }
-    }
-    if (result.inter_cluster_edges <= eps * m) return result;
+    tally_inter_cluster(g, result);
+    const bool within_budget =
+        options.weighted_volumes
+            ? result.inter_cluster_weight <= eps * g.total_weight()
+            : result.inter_cluster_edges <= eps * m;
+    if (within_budget) return result;
     phi /= 2.0;  // too many cut edges: aim for stronger clusters next round
   }
   throw std::runtime_error(
       "expander_decompose: inter-cluster budget unsatisfied after retries");
+}
+
+void tally_inter_cluster(const Graph& g, ExpanderDecomposition& d) {
+  d.is_inter_cluster.assign(g.num_edges(), false);
+  d.inter_cluster_edges = 0;
+  d.inter_cluster_weight = 0;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    if (d.cluster_of[ed.u] != d.cluster_of[ed.v]) {
+      d.is_inter_cluster[e] = true;
+      ++d.inter_cluster_edges;
+      d.inter_cluster_weight += g.weight(e);
+    }
+  }
 }
 
 std::vector<std::vector<VertexId>> cluster_members(

@@ -35,6 +35,13 @@ struct DecompositionOptions {
   bool deterministic = false;
   // If the inter-cluster budget is exceeded, halve φ and retry.
   int max_retries = 4;
+  // Count volumes and cuts in edge weight (conductance.h) and hold the
+  // inter-cluster *weight* to ε·w(E) instead of the edge count to ε·|E| —
+  // the §1.3 weighted-problems variant: heavy edges stay inside clusters.
+  // Same construction otherwise; with unit weights, or on an unweighted
+  // graph, the output is bit-identical to the count mode's. The distributed
+  // construction (distributed_decomposition.h) always counts edges.
+  bool weighted_volumes = false;
 };
 
 struct ExpanderDecomposition {
@@ -42,17 +49,23 @@ struct ExpanderDecomposition {
   int num_clusters = 0;
   std::vector<bool> is_inter_cluster;    // per edge id of the input graph
   int inter_cluster_edges = 0;
+  std::int64_t inter_cluster_weight = 0;  // Σ g.weight(e) over those edges
   double phi = 0.0;                      // target φ actually used
   // Certified conductance lower bound per cluster (exact for tiny clusters,
-  // Cheeger λ2/2 otherwise).
+  // Cheeger λ2/2 otherwise), in the volume notion the construction used.
   std::vector<double> cluster_phi_certified;
 };
 
-// Decomposes g so that inter-cluster edges <= eps * |E|. Throws
+// Decomposes g so that inter-cluster edges <= eps * |E| (with
+// weighted_volumes: inter-cluster weight <= eps * w(E)). Throws
 // std::runtime_error if the budget still fails after max_retries.
 ExpanderDecomposition expander_decompose(
     const graph::Graph& g, double eps,
     const DecompositionOptions& options = {});
+
+// Derives the edge-level fields (is_inter_cluster, inter_cluster_edges,
+// inter_cluster_weight) of `d` from its labels against g.
+void tally_inter_cluster(const graph::Graph& g, ExpanderDecomposition& d);
 
 // Members of each cluster (utility shared by framework/tests/benches).
 std::vector<std::vector<graph::VertexId>> cluster_members(

@@ -10,7 +10,6 @@
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
 #include "src/congest/trace.h"
-#include "src/expander/conductance.h"
 
 namespace ecd::expander {
 
@@ -338,15 +337,7 @@ DistributedDecompositionResult distributed_expander_decompose(
     d.cluster_of = piece_of;
     d.num_clusters = num_pieces;
     d.phi = phi;
-    d.is_inter_cluster.assign(m, false);
-    d.inter_cluster_edges = 0;
-    for (graph::EdgeId e = 0; e < m; ++e) {
-      const graph::Edge ed = g.edge(e);
-      if (piece_of[ed.u] != piece_of[ed.v]) {
-        d.is_inter_cluster[e] = true;
-        ++d.inter_cluster_edges;
-      }
-    }
+    tally_inter_cluster(g, d);
     d.cluster_phi_certified.assign(num_pieces, phi);
     if (d.inter_cluster_edges <= eps * m) {
       result.decomposition = std::move(d);

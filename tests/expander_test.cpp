@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <optional>
 
 #include "src/expander/conductance.h"
 #include "src/expander/decomposition.h"
 #include "src/expander/random_walk.h"
-#include "src/expander/sweep_cut.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
@@ -265,6 +267,81 @@ TEST(Decomposition, HypercubeTightness) {
   Graph g = graph::hypercube(7);
   const auto d = expander_decompose(g, 0.3);
   check_contract(g, 0.3, d);
+}
+
+// Golden pin of the construction's output: FNV-1a over the bit patterns of
+// cluster_of, phi and cluster_phi_certified. Refactors of the host-side
+// decomposition must leave every hash unchanged; a deliberate change of the
+// construction updates the constants and says so.
+void fnv_mix(std::uint64_t& h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+void hash_decomposition(std::uint64_t& h, const ExpanderDecomposition& d) {
+  const auto bits = [](double x) {
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  fnv_mix(h, d.cluster_of.size());
+  for (int c : d.cluster_of) fnv_mix(h, static_cast<std::uint32_t>(c));
+  fnv_mix(h, bits(d.phi));
+  fnv_mix(h, d.cluster_phi_certified.size());
+  for (double p : d.cluster_phi_certified) fnv_mix(h, bits(p));
+}
+
+// ε' of the benchmark's MIS call on random_planar(512, 1024) (0.2 / 5) and
+// of its MCM call (0.2 · 0.125), plus a looser ε that makes the sweep split.
+constexpr double kPinEps[] = {0.04, 0.025, 0.3};
+
+std::uint64_t pin_hash(const std::function<Graph(std::uint64_t)>& make) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const Graph g = make(seed);
+    for (double eps : kPinEps) {
+      for (bool deterministic : {false, true}) {
+        DecompositionOptions opt;
+        opt.seed = seed;
+        opt.deterministic = deterministic;
+        hash_decomposition(h, expander_decompose(g, eps, opt));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Decomposition, GoldenPinOnGrid) {
+  EXPECT_EQ(pin_hash([](std::uint64_t) { return graph::grid(16, 16); }),
+            0x0466c5b09e9435bdULL);
+}
+
+TEST(Decomposition, GoldenPinOnRandomPlanar) {
+  EXPECT_EQ(pin_hash([](std::uint64_t seed) {
+              Rng rng(seed);
+              return graph::random_planar(512, 1024, rng);
+            }),
+            0xc25ef64b8d226d99ULL);
+}
+
+TEST(Decomposition, GoldenPinOnRandomTree) {
+  EXPECT_EQ(pin_hash([](std::uint64_t seed) {
+              Rng rng(seed);
+              return graph::random_tree(300, rng);
+            }),
+            0xbb32115a42f32139ULL);
+}
+
+TEST(Decomposition, GoldenPinOnWeightedGraphInCountMode) {
+  // Edge weights must not reach the count-mode construction.
+  EXPECT_EQ(pin_hash([](std::uint64_t seed) {
+              Rng rng(seed);
+              const Graph base = graph::random_planar(256, 512, rng);
+              return base.with_weights(graph::random_weights(base, 1000, rng));
+            }),
+            0x35dde60802263b41ULL);
 }
 
 TEST(ClusterMembers, PartitionsVertices) {

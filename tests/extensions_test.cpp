@@ -2,10 +2,14 @@
 // and distributed triangle counting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "src/core/mwm.h"
 #include "src/core/property_testing.h"
 #include "src/core/triangles.h"
-#include "src/expander/weighted.h"
+#include "src/expander/conductance.h"
+#include "src/expander/decomposition.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
@@ -22,8 +26,8 @@ using graph::VertexId;
 
 TEST(WeightedDecomposition, ReducesToUnweightedNotionOnUnitWeights) {
   Graph g = graph::path(4);
-  EXPECT_DOUBLE_EQ(expander::weighted_cut_conductance(
-                       g, {true, true, false, false}),
+  EXPECT_DOUBLE_EQ(expander::cut_conductance(g, {true, true, false, false},
+                                             /*weighted=*/true),
                    1.0 / 3.0);
 }
 
@@ -35,14 +39,15 @@ TEST(WeightedDecomposition, WeightBudgetHolds) {
     const double eps = 0.2;
     expander::DecompositionOptions opt;
     opt.seed = trial + 1;
-    const auto d = expander::expander_decompose_weighted(g, eps, opt);
+    opt.weighted_volumes = true;
+    const auto d = expander::expander_decompose(g, eps, opt);
     EXPECT_LE(d.inter_cluster_weight, eps * g.total_weight() + 1e-9);
     // Partition validity.
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_GE(d.base.cluster_of[v], 0);
+      ASSERT_GE(d.cluster_of[v], 0);
     }
     // Clusters connected.
-    const auto members = expander::cluster_members(d.base);
+    const auto members = expander::cluster_members(d);
     for (const auto& m : members) {
       if (m.size() < 2) continue;
       const auto sub = graph::induced_subgraph(g, m);
@@ -64,8 +69,36 @@ TEST(WeightedDecomposition, HeavyBottleneckGetsCutOnlyIfCheap) {
   Graph g = base.with_weights(std::move(w));
   expander::DecompositionOptions opt;
   opt.phi = 0.05;
-  const auto d = expander::expander_decompose_weighted(g, 0.3, opt);
-  EXPECT_FALSE(d.base.is_inter_cluster[bridge]);
+  opt.weighted_volumes = true;
+  const auto d = expander::expander_decompose(g, 0.3, opt);
+  EXPECT_FALSE(d.is_inter_cluster[bridge]);
+}
+
+TEST(WeightedDecomposition, CertificateIsALowerBoundOnSmallClusters) {
+  // cluster_phi_certified promises a lower bound on each cluster's weighted
+  // conductance; on clusters small enough to enumerate, check it exactly.
+  Rng rng(3);
+  int checked = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    Graph base = graph::random_maximal_planar(120, rng);
+    Graph g = base.with_weights(graph::random_weights(base, 1000, rng));
+    expander::DecompositionOptions opt;
+    opt.seed = trial + 1;
+    opt.phi = 0.2;  // high enough to split the graph into small clusters
+    opt.weighted_volumes = true;
+    const auto d = expander::expander_decompose(g, 0.9, opt);
+    const auto members = expander::cluster_members(d);
+    for (int c = 0; c < d.num_clusters; ++c) {
+      if (members[c].size() < 2 || members[c].size() > 16) continue;
+      const auto sub = graph::induced_subgraph(g, members[c]);
+      EXPECT_LE(d.cluster_phi_certified[c],
+                expander::exact_conductance(sub.graph, /*weighted=*/true) +
+                    1e-12)
+          << "trial " << trial << " cluster " << c;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10);
 }
 
 TEST(WeightedDecomposition, MwmPrefersWeightedVolumes) {
@@ -189,9 +222,34 @@ TEST(FailureHandling, WeightedDecompositionOnUnitWeightsMatchesContract) {
   Rng rng(34);
   Graph base = graph::random_maximal_planar(120, rng);
   Graph g = base.with_weights(std::vector<graph::Weight>(base.num_edges(), 1));
-  const auto d = expander::expander_decompose_weighted(g, 0.2, {});
+  expander::DecompositionOptions weighted_opt;
+  weighted_opt.weighted_volumes = true;
+  const auto d = expander::expander_decompose(g, 0.2, weighted_opt);
   EXPECT_LE(d.inter_cluster_weight, 0.2 * g.num_edges() + 1e-9);
-  EXPECT_EQ(d.inter_cluster_weight, d.base.inter_cluster_edges);
+  EXPECT_EQ(d.inter_cluster_weight, d.inter_cluster_edges);
+  // Unit weights: the weighted mode is the count mode, bit for bit — at the
+  // derived φ (one cluster, Cheeger certificate) and at a forced φ that
+  // splits the graph (sweep and exact cuts).
+  const auto bits = [](const std::vector<double>& xs) {
+    std::vector<std::uint64_t> out(xs.size());
+    std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
+    return out;
+  };
+  for (double phi : {0.0, 0.3}) {
+    expander::DecompositionOptions count_opt;
+    count_opt.phi = phi;
+    weighted_opt.phi = phi;
+    const auto w = expander::expander_decompose(g, 0.5, weighted_opt);
+    const auto c = expander::expander_decompose(g, 0.5, count_opt);
+    EXPECT_EQ(w.cluster_of, c.cluster_of) << "phi " << phi;
+    EXPECT_EQ(w.num_clusters, c.num_clusters) << "phi " << phi;
+    EXPECT_EQ(w.is_inter_cluster, c.is_inter_cluster) << "phi " << phi;
+    EXPECT_EQ(w.inter_cluster_edges, c.inter_cluster_edges) << "phi " << phi;
+    EXPECT_EQ(w.inter_cluster_weight, c.inter_cluster_weight) << "phi " << phi;
+    EXPECT_EQ(bits({w.phi}), bits({c.phi})) << "phi " << phi;
+    EXPECT_EQ(bits(w.cluster_phi_certified), bits(c.cluster_phi_certified))
+        << "phi " << phi;
+  }
 }
 
 }  // namespace

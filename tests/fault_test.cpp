@@ -586,6 +586,28 @@ TEST(FrameworkFaulted, PartitionAndGatherMatchesFaultFreeUnderOnePercentDrop) {
   EXPECT_GT(core::return_results(p, word, "faulted return"), 0);
 }
 
+TEST(FrameworkFaulted, FaultedGatherLedgerEntryKeepsWallTime) {
+  // The reliable gather sums its epochs' RunStats; the sum must carry every
+  // field, the wall-clock duration included, into the ledger.
+  graph::Rng rng(11);
+  const Graph g = graph::random_maximal_planar(80, rng);
+  core::FrameworkOptions faulted;
+  faulted.seed = 5;
+  faulted.faults.seed = 77;
+  faulted.faults.drop_probability = 0.01;
+  faulted.gather_epoch_rounds = 4096;
+  const core::Partition p = core::partition_and_gather(g, 0.3, faulted);
+  ASSERT_TRUE(p.gather_complete);
+  EXPECT_GT(p.gather.stats.duration_ns, 0);
+  const auto& entries = p.ledger.entries();
+  const auto gather = std::find_if(
+      entries.begin(), entries.end(), [](const congest::LedgerEntry& e) {
+        return e.label.starts_with("topology gather");
+      });
+  ASSERT_NE(gather, entries.end());
+  EXPECT_GT(gather->stats.duration_ns, 0);
+}
+
 // --- Plan validation ------------------------------------------------------
 
 TEST(FaultPlanValidation, RejectsMalformedPlans) {

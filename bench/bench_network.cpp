@@ -11,6 +11,8 @@
 //              per-message costs — send, enforcement, delivery.
 //   tree       convergecast-style: one token per vertex climbs a BFS tree at
 //              bandwidth 4 — the gather traffic pattern of Theorem 2.6.
+// plus the real gather primitives on one 256-vertex grid cluster: the
+// random-walk gather and the reversed delivery that replays it.
 //
 // Every workload takes a trailing `threads` axis (NetworkOptions::
 // num_threads); rows at threads > 1 measure the sharded parallel round
@@ -38,6 +40,7 @@
 #include "bench/bench_util.h"
 #include "src/congest/metrics.h"
 #include "src/congest/network.h"
+#include "src/congest/primitives.h"
 #include "src/congest/trace.h"
 
 namespace {
@@ -409,6 +412,97 @@ void BM_TreeClimb(benchmark::State& state) {
   });
 }
 
+// The Lemma 2.4 gather as Theorem 2.6 runs it, on one grid cluster led
+// by vertex 0: a hello token per vertex plus one token per edge, at
+// bandwidth 8. BM_WalkGather times random_walk_gather whole (its Network
+// included); BM_ReverseDelivery times the reversed replay of one such
+// gather (DESIGN.md §19). msgs_per_sec counts forward or reverse hops per
+// second; allocs_per_round is one audited call's heap allocations over its
+// rounds — the walkers allocate per token, never per hop.
+struct GatherWorkload {
+  graph::Graph g;
+  std::vector<int> cluster;
+  std::vector<VertexId> leader;
+  std::vector<std::vector<congest::GatherToken>> tokens;
+  congest::GatherOptions options;
+};
+
+GatherWorkload gather_workload(int n, int threads) {
+  GatherWorkload w{grid_of(n), {}, {}, {}, {}};
+  const int size = w.g.num_vertices();
+  w.cluster.assign(size, 0);
+  w.leader.assign(size, 0);
+  w.tokens.resize(size);
+  for (VertexId v = 0; v < size; ++v) {
+    w.tokens[v].push_back({v, {v, -1, 0, 0}});
+  }
+  for (graph::EdgeId e = 0; e < w.g.num_edges(); ++e) {
+    const graph::Edge ed = w.g.edge(e);
+    w.tokens[ed.u].push_back({ed.u, {ed.u, ed.v, 1, 1}});
+  }
+  w.options.net.bandwidth_tokens = 8;
+  w.options.net.num_threads = threads;
+  return w;
+}
+
+congest::GatherResult run_gather(const GatherWorkload& w) {
+  return congest::random_walk_gather(w.g, w.cluster, w.leader, w.tokens,
+                                     w.options);
+}
+
+void register_gather_counters(benchmark::State& state, const graph::Graph& g,
+                              int threads, std::int64_t total_hops,
+                              std::int64_t allocs, std::int64_t rounds) {
+  state.counters["n"] = g.num_vertices();
+  state.counters["m"] = g.num_edges();
+  state.counters["threads"] = threads;
+  bench::register_rss_counter(state);
+  state.counters["msgs_per_sec"] = benchmark::Counter(
+      static_cast<double>(total_hops), benchmark::Counter::kIsRate);
+  bench::register_alloc_counter(state, allocs, rounds);
+}
+
+void BM_WalkGather(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(1));
+  const GatherWorkload w =
+      gather_workload(static_cast<int>(state.range(0)), threads);
+  std::int64_t total_hops = 0;
+  for (auto _ : state) {
+    congest::GatherResult result = run_gather(w);
+    total_hops += result.stats.messages_sent;
+    benchmark::DoNotOptimize(result);
+  }
+  bench::AllocScope scope;
+  const congest::GatherResult audit = run_gather(w);
+  const std::int64_t allocs = scope.delta();
+  register_gather_counters(state, w.g, threads, total_hops, allocs,
+                           audit.stats.rounds);
+}
+
+void BM_ReverseDelivery(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(1));
+  const GatherWorkload w =
+      gather_workload(static_cast<int>(state.range(0)), threads);
+  const congest::GatherResult gather = run_gather(w);
+  const std::vector<std::vector<std::int64_t>> reply(gather.traces.size(),
+                                                     {1});
+  const auto replay = [&] {
+    return congest::reverse_delivery(w.g.num_vertices(), gather, reply,
+                                     gather.bandwidth);
+  };
+  std::int64_t total_hops = 0;
+  for (auto _ : state) {
+    congest::ReverseDeliveryResult result = replay();
+    total_hops += result.stats.messages_sent;
+    benchmark::DoNotOptimize(result);
+  }
+  bench::AllocScope scope;
+  const congest::ReverseDeliveryResult audit = replay();
+  const std::int64_t allocs = scope.delta();
+  register_gather_counters(state, w.g, threads, total_hops, allocs,
+                           audit.stats.rounds);
+}
+
 // The n sweep stays single-threaded (the serial baseline every other
 // experiment rides on); the threads sweep runs at the large n rows, where
 // per-round work amortizes the barrier, plus one small-n row the CI smoke
@@ -486,6 +580,17 @@ BENCHMARK(BM_TreeClimb)
     ->Args({102400, 2})
     ->Args({102400, 4})
     ->Args({102400, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_WalkGather)
+    ->ArgNames({"n", "threads"})
+    ->Args({256, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReverseDelivery)
+    ->ArgNames({"n", "threads"})
+    ->Args({256, 1})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,10 +1,13 @@
 #include "src/congest/primitives.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <cassert>
 #include <limits>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/congest/trace.h"
 #include "src/graph/splitmix.h"
@@ -29,6 +32,57 @@ std::vector<std::vector<int>> intra_cluster_ports(
     }
   }
   return ports;
+}
+
+// --- Gather tokens --------------------------------------------------------------
+
+// Largest GatherToken payload: a walk message spends one word on the id.
+constexpr int kMaxTokenPayload = kMaxMessageWords - 1;
+
+// A token as a gather walker holds it, payload inline: taking a token off
+// a message, queueing it and putting it back on a message never touches
+// the heap. check_payloads() keeps every payload within the array.
+struct WalkToken {
+  std::int64_t id = -1;
+  std::array<std::int64_t, kMaxTokenPayload> words{};
+  int size = 0;
+
+  const std::int64_t* begin() const { return words.data(); }
+  const std::int64_t* end() const { return words.data() + size; }
+  void assign(const std::int64_t* first, const std::int64_t* last) {
+    assert(last - first <= kMaxTokenPayload);
+    size = static_cast<int>(last - first);
+    std::copy(first, last, words.begin());
+  }
+  std::vector<std::int64_t> payload() const { return {begin(), end()}; }
+  // `header` (the routing word) followed by the payload.
+  Message message(std::int64_t header) const {
+    Message m;
+    m.tag = kTagWalkToken;
+    m.words.push_back(header);
+    m.words.insert(m.words.end(), begin(), end());
+    return m;
+  }
+};
+
+WalkToken make_token(std::int64_t id, const GatherToken& t) {
+  WalkToken tok;
+  tok.id = id;
+  tok.assign(t.payload.data(), t.payload.data() + t.payload.size());
+  return tok;
+}
+
+void check_payloads(const std::vector<std::vector<GatherToken>>& tokens) {
+  for (std::size_t v = 0; v < tokens.size(); ++v) {
+    for (const GatherToken& t : tokens[v]) {
+      if (t.payload.size() > static_cast<std::size_t>(kMaxTokenPayload)) {
+        throw std::invalid_argument(
+            "gather token at origin " + std::to_string(v) + " carries " +
+            std::to_string(t.payload.size()) + " payload words; at most " +
+            std::to_string(kMaxTokenPayload) + " fit beside the token id");
+      }
+    }
+  }
 }
 
 // --- Leader election ----------------------------------------------------------
@@ -202,79 +256,66 @@ class PeelAlgo final : public VertexAlgorithm {
 
 class WalkAlgo final : public VertexAlgorithm {
  public:
-  struct Token {
-    std::int64_t id = -1;
-    std::vector<std::int64_t> payload;
-  };
-
   WalkAlgo(const std::vector<int>* intra, bool is_leader,
-           std::vector<Token> initial_tokens, std::uint64_t seed,
+           std::vector<WalkToken> initial_tokens, std::uint64_t seed,
            int bandwidth, std::vector<TokenTrace>* traces)
       : intra_(intra),
         is_leader_(is_leader),
         rng_(seed),
         bandwidth_(bandwidth),
-        traces_(traces) {
-    for (auto& t : initial_tokens) held_.push_back(std::move(t));
-  }
+        traces_(traces),
+        held_(std::move(initial_tokens)),
+        port_load_(intra->size(), 0) {}
 
   void round(Context& ctx) override {
     started_ = true;
     sent_ = false;
     for (int p : *intra_) {
       for (const Message& m : ctx.inbox(p)) {
-        Token t;
+        WalkToken& t = held_.emplace_back();
         t.id = m.words[0];
-        t.payload.assign(m.words.begin() + 1, m.words.end());
-        held_.push_back(std::move(t));
+        t.assign(m.words.begin() + 1, m.words.end());
       }
     }
     if (is_leader_) {
-      for (auto& t : held_) absorbed_.push_back(std::move(t));
+      absorbed_.insert(absorbed_.end(), held_.begin(), held_.end());
       held_.clear();
       return;
     }
     if (held_.empty() || intra_->empty()) return;
     // Lazy step per token, subject to the per-edge budget; blocked tokens
     // simply retry next round.
-    std::vector<int> port_load(intra_->size(), 0);
+    std::fill(port_load_.begin(), port_load_.end(), 0);
     std::uniform_int_distribution<std::size_t> pick(0, intra_->size() - 1);
     std::bernoulli_distribution lazy(0.5);
-    std::deque<Token> keep;
-    while (!held_.empty()) {
-      Token t = std::move(held_.front());
-      held_.pop_front();
+    keep_.clear();
+    for (const WalkToken& t : held_) {
       if (lazy(rng_)) {
-        keep.push_back(std::move(t));
+        keep_.push_back(t);
         continue;
       }
       const std::size_t i = pick(rng_);
-      if (port_load[i] >= bandwidth_) {
-        keep.push_back(std::move(t));
+      if (port_load_[i] >= bandwidth_) {
+        keep_.push_back(t);
         continue;
       }
-      ++port_load[i];
+      ++port_load_[i];
       sent_ = true;
       // Local bookkeeping for the reversed delivery (§2.2): the trace
       // records which way the token went and when.
       TokenTrace& trace = (*traces_)[t.id];
       trace.visited.push_back(ctx.neighbor((*intra_)[i]));
       trace.hop_round.push_back(ctx.round());
-      Message m;
-      m.tag = kTagWalkToken;
-      m.words.reserve(t.payload.size() + 1);
-      m.words.push_back(t.id);
-      m.words.insert(m.words.end(), t.payload.begin(), t.payload.end());
-      ctx.send((*intra_)[i], std::move(m));
+      ctx.send((*intra_)[i], t.message(t.id));
     }
-    held_ = std::move(keep);
+    held_.swap(keep_);
   }
 
   bool finished() const override {
     return started_ && held_.empty() && !sent_;
   }
 
-  std::vector<Token>& absorbed() { return absorbed_; }
+  std::vector<WalkToken>& absorbed() { return absorbed_; }
 
  private:
   const std::vector<int>* intra_;
@@ -284,8 +325,12 @@ class WalkAlgo final : public VertexAlgorithm {
   std::vector<TokenTrace>* traces_;
   bool started_ = false;
   bool sent_ = false;
-  std::deque<Token> held_;
-  std::vector<Token> absorbed_;
+  // Tokens to step this round, in arrival order; the ones that stay are
+  // collected in keep_, which becomes next round's held_.
+  std::vector<WalkToken> held_;
+  std::vector<WalkToken> keep_;
+  std::vector<int> port_load_;  // per intra index, this round
+  std::vector<WalkToken> absorbed_;
 };
 
 // --- Reliable random-walk gather (DESIGN.md §12) ---------------------------------
@@ -303,10 +348,8 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   static constexpr int kSeqShift = 44;
   static constexpr std::int64_t kIdMask = (std::int64_t{1} << kSeqShift) - 1;
 
-  struct Token {
-    std::int64_t id = -1;
+  struct Token : WalkToken {
     std::int64_t next_seq = 0;  // sequence number of the token's next hop
-    std::vector<std::int64_t> payload;
   };
 
   ReliableWalkAlgo(const std::vector<int>* intra,
@@ -323,9 +366,9 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
         deadline_(deadline),
         base_round_(base_round),
         traces_(traces),
-        ack_queue_(intra->size()) {
-    for (auto& t : initial) held_.push_back(std::move(t));
-  }
+        ack_queue_(intra->size()),
+        held_(std::move(initial)),
+        port_load_(intra->size(), 0) {}
 
   void round(Context& ctx) override {
     started_ = true;
@@ -343,20 +386,15 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
         const std::int64_t packed = m.words[0];
         ack_queue_[i].push_back(packed);
         if (!accepted_.insert(packed).second) continue;  // dup/replay
-        Token t;
+        Token& t = (is_leader_ ? absorbed_ : held_).emplace_back();
         t.id = packed & kIdMask;
         t.next_seq = (packed >> kSeqShift) + 1;
-        t.payload.assign(m.words.begin() + 1, m.words.end());
-        if (is_leader_) {
-          absorbed_.push_back(std::move(t));
-        } else {
-          held_.push_back(std::move(t));
-        }
+        t.assign(m.words.begin() + 1, m.words.end());
       }
     }
     if (is_leader_ && !held_.empty()) {
       // A leader's own initial tokens are absorbed on the spot.
-      for (auto& t : held_) absorbed_.push_back(std::move(t));
+      absorbed_.insert(absorbed_.end(), held_.begin(), held_.end());
       held_.clear();
     }
     const std::int64_t r = ctx.round();
@@ -367,7 +405,8 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     if (ports == 0) return;
     // Per-port budget, spent in priority order: acks, retransmissions,
     // fresh hops. Acks ride the same intra-cluster edges as the walks.
-    std::vector<int> load(ports, 0);
+    std::vector<int>& load = port_load_;
+    std::fill(load.begin(), load.end(), 0);
     for (int i = 0; i < ports; ++i) {
       auto& queue = ack_queue_[i];
       std::size_t consumed = 0;
@@ -396,7 +435,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       ++retransmissions_;
       sent_ = true;
       u.sent_round = r;
-      ctx.send((*intra_)[u.port_index], token_message(u.packed, u.payload));
+      ctx.send((*intra_)[u.port_index], u.token.message(u.packed));
     }
     // Fresh hops go only to neighbors the host knows were alive at epoch
     // start (the crash-by-heartbeat assumption of DESIGN.md §12): a hop into
@@ -405,17 +444,15 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     if (held_.empty() || walk_index_->empty()) return;
     std::uniform_int_distribution<std::size_t> pick(0, walk_index_->size() - 1);
     std::bernoulli_distribution lazy(0.5);
-    std::deque<Token> keep;
-    while (!held_.empty()) {
-      Token t = std::move(held_.front());
-      held_.pop_front();
+    keep_.clear();
+    for (Token& t : held_) {
       if (lazy(rng_)) {
-        keep.push_back(std::move(t));
+        keep_.push_back(t);
         continue;
       }
       const std::size_t i = static_cast<std::size_t>((*walk_index_)[pick(rng_)]);
       if (load[i] >= bandwidth_) {
-        keep.push_back(std::move(t));
+        keep_.push_back(t);
         continue;
       }
       ++load[i];
@@ -428,11 +465,10 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       TokenTrace& trace = (*traces_)[t.id];
       trace.visited.push_back(ctx.neighbor((*intra_)[i]));
       trace.hop_round.push_back(base_round_ + r);
-      ctx.send((*intra_)[i], token_message(packed, t.payload));
-      unacked_.push_back(Pending{packed, std::move(t.payload),
-                                 static_cast<int>(i), r});
+      ctx.send((*intra_)[i], t.message(packed));
+      unacked_.push_back(Pending{packed, t, static_cast<int>(i), r});
     }
-    held_ = std::move(keep);
+    held_.swap(keep_);
   }
 
   bool finished() const override {
@@ -452,20 +488,10 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
  private:
   struct Pending {
     std::int64_t packed = -1;
-    std::vector<std::int64_t> payload;
+    WalkToken token;
     int port_index = -1;
     std::int64_t sent_round = -1;
   };
-
-  static Message token_message(std::int64_t packed,
-                               const std::vector<std::int64_t>& payload) {
-    Message m;
-    m.tag = kTagWalkToken;
-    m.words.reserve(payload.size() + 1);
-    m.words.push_back(packed);
-    m.words.insert(m.words.end(), payload.begin(), payload.end());
-    return m;
-  }
 
   void clear_unacked(std::int64_t packed) {
     for (auto it = unacked_.begin(); it != unacked_.end(); ++it) {
@@ -493,7 +519,9 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   bool gave_up_ = false;
   std::int64_t retransmissions_ = 0;
   std::int64_t ack_messages_ = 0;
-  std::deque<Token> held_;
+  std::vector<Token> held_;  // as in WalkAlgo: held_ steps, keep_ stays
+  std::vector<Token> keep_;
+  std::vector<int> port_load_;  // per intra index, this round
   std::vector<Token> absorbed_;
 };
 
@@ -502,32 +530,46 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
 class TreeClimbAlgo final : public VertexAlgorithm {
  public:
   TreeClimbAlgo(bool is_leader, int parent_port,
-                std::vector<std::vector<std::int64_t>> initial, int bandwidth)
+                const std::vector<GatherToken>& initial, int bandwidth)
       : is_leader_(is_leader), parent_port_(parent_port), bandwidth_(bandwidth) {
-    for (auto& p : initial) held_.push_back(std::move(p));
+    for (const GatherToken& t : initial) held_.push_back(make_token(-1, t));
   }
 
   void round(Context& ctx) override {
     started_ = true;
     sent_ = false;
     for (int p = 0; p < ctx.num_ports(); ++p) {
-      for (const Message& m : ctx.inbox(p)) held_.push_back(m.words.to_vector());
+      for (const Message& m : ctx.inbox(p)) {
+        held_.emplace_back().assign(m.words.begin(), m.words.end());
+      }
     }
-    if (is_leader_) {
-      for (auto& t : held_) absorbed_.push_back(std::move(t));
+    if (is_leader_) {  // a leader never sends, so head_ stays 0
+      for (const WalkToken& t : held_) absorbed_.push_back(t.payload());
       held_.clear();
       return;
     }
     if (parent_port_ < 0) return;  // orphan (singleton handled as leader)
-    int budget = bandwidth_;
-    while (!held_.empty() && budget-- > 0) {
+    // Tree messages carry the bare payload: no id rides along.
+    for (int budget = bandwidth_; head_ < held_.size() && budget > 0;
+         --budget) {
       sent_ = true;
-      ctx.send(parent_port_, {std::move(held_.front()), kTagTreeToken});
-      held_.pop_front();
+      const WalkToken& t = held_[head_++];
+      Message m;
+      m.tag = kTagTreeToken;
+      m.words.assign(t.begin(), t.end());
+      ctx.send(parent_port_, std::move(m));
+    }
+    // FIFO over a vector: drop the sent prefix once it outweighs the rest.
+    if (2 * head_ >= held_.size()) {
+      held_.erase(held_.begin(),
+                  held_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
   }
 
-  bool finished() const override { return started_ && held_.empty() && !sent_; }
+  bool finished() const override {
+    return started_ && head_ == held_.size() && !sent_;
+  }
   std::vector<std::vector<std::int64_t>>& absorbed() { return absorbed_; }
 
  private:
@@ -536,7 +578,8 @@ class TreeClimbAlgo final : public VertexAlgorithm {
   int bandwidth_;
   bool started_ = false;
   bool sent_ = false;
-  std::deque<std::vector<std::int64_t>> held_;
+  std::vector<WalkToken> held_;  // queued from index head_ on
+  std::size_t head_ = 0;
   std::vector<std::vector<std::int64_t>> absorbed_;
 };
 
@@ -784,9 +827,11 @@ GatherResult random_walk_gather(const Graph& g,
                                 const std::vector<VertexId>& leader_of,
                                 const std::vector<std::vector<GatherToken>>& tokens,
                                 const GatherOptions& options) {
+  check_payloads(tokens);
   TRACE_SPAN(options.net.trace, "walk_gather");
   const auto intra = intra_cluster_ports(g, cluster_of);
   GatherResult result;
+  result.bandwidth = options.net.bandwidth_tokens;
   std::int64_t expected = 0;
   for (const auto& list : tokens) expected += static_cast<std::int64_t>(list.size());
   result.traces.reserve(expected);
@@ -794,12 +839,11 @@ GatherResult random_walk_gather(const Graph& g,
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<WalkAlgo*> typed(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    std::vector<WalkAlgo::Token> initial;
+    std::vector<WalkToken> initial;
+    initial.reserve(tokens[v].size());
     for (const GatherToken& t : tokens[v]) {
-      WalkAlgo::Token tok;
-      tok.id = static_cast<std::int64_t>(result.traces.size());
-      tok.payload = t.payload;
-      initial.push_back(std::move(tok));
+      initial.push_back(
+          make_token(static_cast<std::int64_t>(result.traces.size()), t));
       TokenTrace trace;
       trace.origin = v;
       trace.cluster = cluster_of[v];
@@ -826,10 +870,13 @@ GatherResult random_walk_gather(const Graph& g,
     received += static_cast<std::int64_t>(absorbed.size());
     auto& payloads = result.delivered[cluster_of[v]];
     auto& ids = result.delivered_ids[cluster_of[v]];
-    for (auto& t : absorbed) {
+    payloads.reserve(payloads.size() + absorbed.size());
+    ids.reserve(ids.size() + absorbed.size());
+    for (const WalkToken& t : absorbed) {
       ids.push_back(t.id);
-      payloads.push_back(std::move(t.payload));
+      payloads.push_back(t.payload());
     }
+    std::vector<WalkToken>().swap(absorbed);  // free it now, not at return
   }
   result.complete = (received == expected);
   return result;
@@ -840,6 +887,7 @@ ReliableGatherResult reliable_walk_gather(
     const std::vector<VertexId>& leader_of,
     const std::vector<std::vector<GatherToken>>& tokens,
     const ReliableGatherOptions& options) {
+  check_payloads(tokens);
   TRACE_SPAN(options.net.trace, "fault:reliable_gather");
   const auto intra = intra_cluster_ports(g, cluster_of);
   const int n = g.num_vertices();
@@ -851,6 +899,7 @@ ReliableGatherResult reliable_walk_gather(
 
   ReliableGatherResult result;
   GatherResult& gather = result.gather;
+  gather.bandwidth = options.net.bandwidth_tokens;
 
   // Host-side token table: the authoritative record of where every token
   // is. Tokens in flight or stranded when an epoch ends are re-seeded at
@@ -992,8 +1041,9 @@ ReliableGatherResult reliable_walk_gather(
       if (crash_round[toks[id].origin] <= base_round) continue;  // orphaned
       ReliableWalkAlgo::Token t;
       t.id = static_cast<std::int64_t>(id);
-      t.payload = toks[id].payload;
-      initial[toks[id].origin].push_back(std::move(t));
+      t.assign(toks[id].payload.data(),
+               toks[id].payload.data() + toks[id].payload.size());
+      initial[toks[id].origin].push_back(t);
     }
     for (VertexId v = 0; v < n; ++v) {
       auto a = std::make_unique<ReliableWalkAlgo>(
@@ -1014,9 +1064,10 @@ ReliableGatherResult reliable_walk_gather(
     for (VertexId v = 0; v < n; ++v) {
       result.retransmissions += typed[v]->retransmissions();
       result.ack_messages += typed[v]->ack_messages();
-      for (ReliableWalkAlgo::Token& t : typed[v]->absorbed()) {
+      // Walkers never rewrite a payload: the host copy stays the one to
+      // deliver.
+      for (const ReliableWalkAlgo::Token& t : typed[v]->absorbed()) {
         toks[t.id].absorbed_by = v;
-        toks[t.id].payload = std::move(t.payload);
       }
     }
     if (epoch + 1 == options.max_epochs) {
@@ -1065,32 +1116,78 @@ ReverseDeliveryResult reverse_delivery(
   // The hop taken at forward round r is traversed backwards at round
   // horizon - 1 - r: strictly increasing forward times become strictly
   // increasing reverse times along the reversed path, and the per-edge
-  // per-round load is the mirror image of the forward run.
-  std::unordered_map<std::uint64_t, int> load;
-  auto hop_key = [&](VertexId from, VertexId to, std::int64_t round) {
-    return (static_cast<std::uint64_t>(round) << 40) ^
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 20) ^
+  // per-round load is the mirror image of the forward run (DESIGN.md §19).
+  //
+  // The load check counting-sorts the reverse hops by round, one directed
+  // edge per 64-bit key (from in the high 32 bits, to in the low), then
+  // counts equal keys per round. Rounds outside [0, horizon) come only
+  // from a malformed trace; they are checked the same way in a side list.
+  const auto edge_key = [](VertexId from, VertexId to) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
+            << 32) |
            static_cast<std::uint32_t>(to);
   };
-  result.load_ok = true;
+  const auto replied = [&](std::size_t id) {
+    return id < reply.size() && !reply[id].empty();
+  };
+  const auto in_horizon = [&](std::int64_t r) { return r >= 0 && r < horizon; };
+  // Pass 1: statistics, and offset[r + 1] = hops in reverse round r.
+  std::vector<std::int64_t> offset(static_cast<std::size_t>(horizon) + 1, 0);
+  std::vector<std::pair<std::int64_t, std::uint64_t>> stray;
   for (std::size_t id = 0; id < gather.traces.size(); ++id) {
-    if (id >= reply.size() || reply[id].empty()) continue;  // no reply due
+    if (!replied(id)) continue;  // no reply due
     const TokenTrace& trace = gather.traces[id];
-    for (std::size_t h = 0; h < trace.hop_round.size(); ++h) {
-      const std::int64_t reverse_round = horizon - 1 - trace.hop_round[h];
-      if (reverse_round < 0) result.load_ok = false;
-      // Reverse hop: visited[h+1] -> visited[h].
-      const int l = ++load[hop_key(trace.visited[h + 1], trace.visited[h],
-                                   reverse_round)];
-      if (l > bandwidth) result.load_ok = false;
+    for (const std::int64_t forward_round : trace.hop_round) {
+      const std::int64_t reverse_round = horizon - 1 - forward_round;
+      if (in_horizon(reverse_round)) {
+        ++offset[reverse_round + 1];
+      } else {
+        stray.emplace_back(reverse_round, 0);
+      }
       ++result.stats.messages_sent;
       result.stats.words_sent +=
           static_cast<std::int64_t>(reply[id].size()) + 1;
-      result.stats.max_edge_load = std::max(result.stats.max_edge_load, l);
       result.stats.rounds = std::max(result.stats.rounds, reverse_round + 1);
     }
     result.received[trace.origin].push_back(reply[id]);
   }
+  // Now offset[r] is where round r's bucket starts. Pass 2 advances it
+  // past each hop it places, leaving offset[r] where the bucket ends.
+  for (std::int64_t r = 0; r < horizon; ++r) offset[r + 1] += offset[r];
+  std::vector<std::uint64_t> hops(offset[horizon]);
+  std::size_t next_stray = 0;
+  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
+    if (!replied(id)) continue;
+    const TokenTrace& trace = gather.traces[id];
+    for (std::size_t h = 0; h < trace.hop_round.size(); ++h) {
+      const std::int64_t reverse_round = horizon - 1 - trace.hop_round[h];
+      // Reverse hop: visited[h+1] -> visited[h].
+      const std::uint64_t key =
+          edge_key(trace.visited[h + 1], trace.visited[h]);
+      if (in_horizon(reverse_round)) {
+        hops[offset[reverse_round]++] = key;
+      } else {
+        stray[next_stray++].second = key;
+      }
+    }
+  }
+  // Every run of equal keys is one edge's load in one round.
+  const auto check_runs = [&](auto first, auto last) {
+    std::sort(first, last);
+    int l = 0;
+    for (auto it = first; it != last; ++it) {
+      l = it != first && *it == *(it - 1) ? l + 1 : 1;
+      if (l > bandwidth) result.load_ok = false;
+      result.stats.max_edge_load = std::max(result.stats.max_edge_load, l);
+    }
+  };
+  result.load_ok = true;
+  for (std::int64_t r = 0; r < horizon; ++r) {
+    check_runs(hops.begin() + (r == 0 ? 0 : offset[r - 1]),
+               hops.begin() + offset[r]);
+  }
+  check_runs(stray.begin(), stray.end());
+  if (!stray.empty() && stray.front().first < 0) result.load_ok = false;
   return result;
 }
 
@@ -1125,6 +1222,7 @@ TreeGatherResult tree_gather(const Graph& g,
                              const std::vector<VertexId>& bfs_parent,
                              const std::vector<std::vector<GatherToken>>& tokens,
                              const NetworkOptions& net) {
+  check_payloads(tokens);
   TRACE_SPAN(net.trace, "tree_gather");
   const int n = g.num_vertices();
   std::int64_t expected = 0;
@@ -1138,14 +1236,9 @@ TreeGatherResult tree_gather(const Graph& g,
         if (nbrs[p] == bfs_parent[v]) parent_port = p;
       }
     }
-    std::vector<std::vector<std::int64_t>> payloads;
-    for (const GatherToken& t : tokens[v]) {
-      payloads.push_back(t.payload);
-      ++expected;
-    }
+    expected += static_cast<std::int64_t>(tokens[v].size());
     auto a = std::make_unique<TreeClimbAlgo>(leader_of[v] == v, parent_port,
-                                             std::move(payloads),
-                                             net.bandwidth_tokens);
+                                             tokens[v], net.bandwidth_tokens);
     typed[v] = a.get();
     algos.push_back(std::move(a));
   }

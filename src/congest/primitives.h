@@ -62,7 +62,9 @@ OrientationResult orient_cluster_edges(const graph::Graph& g,
 
 struct GatherToken {
   graph::VertexId origin = graph::kInvalidVertex;
-  std::vector<std::int64_t> payload;  // <= kMaxMessageWords - 0 words
+  // <= kMaxMessageWords - 1 words: every walk message spends one word on
+  // the token id. The gathers throw std::invalid_argument on a longer one.
+  std::vector<std::int64_t> payload;
 };
 
 struct GatherOptions {
@@ -90,6 +92,9 @@ struct GatherResult {
   std::vector<TokenTrace> traces;
   bool complete = false;  // all tokens absorbed before max_rounds
   RunStats stats;
+  // Tokens per edge per round the walks ran at (net.bandwidth_tokens); the
+  // reversed delivery verifies its mirrored schedule against it.
+  int bandwidth = 1;
 };
 // Routes each token from its origin to the origin's cluster leader by lazy
 // random walks; tokens queue when an edge's per-round budget is full (the

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
@@ -336,6 +338,86 @@ TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
   }
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(r.received[gather.traces[0].origin][0][0], 7);
+}
+
+// Two reverse hops on different directed edges in the same round, with a
+// vertex id of 2^20: a load counter keyed on `round << 40 ^ from << 20 ^ to`
+// would fold (1 -> 0) and (0 -> 2^20) into one key and report load 2.
+GatherResult two_hop_gather(VertexId a_from, VertexId a_to, VertexId b_from,
+                            VertexId b_to) {
+  GatherResult gather;
+  gather.stats.rounds = 1;
+  gather.bandwidth = 1;
+  gather.traces.resize(2);
+  gather.traces[0].origin = a_from;
+  gather.traces[0].visited = {a_from, a_to};
+  gather.traces[0].hop_round = {0};
+  gather.traces[1].origin = b_from;
+  gather.traces[1].visited = {b_from, b_to};
+  gather.traces[1].hop_round = {0};
+  return gather;
+}
+
+TEST(ReverseDelivery, DistinctEdgesNeverShareALoadCounter) {
+  constexpr VertexId kHigh = VertexId{1} << 20;
+  const GatherResult gather = two_hop_gather(0, 1, kHigh, 0);
+  const std::vector<std::vector<std::int64_t>> reply = {{5}, {6}};
+  const auto r = reverse_delivery(kHigh + 1, gather, reply, gather.bandwidth);
+  EXPECT_TRUE(r.load_ok);
+  EXPECT_EQ(r.stats.max_edge_load, 1);
+  EXPECT_EQ(r.stats.rounds, 1);
+  EXPECT_EQ(r.stats.messages_sent, 2);
+  ASSERT_EQ(r.received[0].size(), 1u);
+  EXPECT_EQ(r.received[0][0][0], 5);
+  ASSERT_EQ(r.received[kHigh].size(), 1u);
+  EXPECT_EQ(r.received[kHigh][0][0], 6);
+}
+
+TEST(ReverseDelivery, SameEdgeSameRoundOverBudgetIsCaught) {
+  const GatherResult gather = two_hop_gather(0, 1, 0, 1);
+  const std::vector<std::vector<std::int64_t>> reply = {{5}, {6}};
+  const auto r = reverse_delivery(2, gather, reply, gather.bandwidth);
+  EXPECT_FALSE(r.load_ok);
+  EXPECT_EQ(r.stats.max_edge_load, 2);
+  // Opposite directions of one edge are separate budgets.
+  const auto opposite =
+      reverse_delivery(2, two_hop_gather(0, 1, 1, 0), reply, 1);
+  EXPECT_TRUE(opposite.load_ok);
+  EXPECT_EQ(opposite.stats.max_edge_load, 1);
+}
+
+TEST(Gather, RejectsPayloadsThatLeaveNoWordForTheTokenId) {
+  Graph g = graph::grid(3, 3);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back(
+        {v, std::vector<std::int64_t>(kMaxMessageWords - 1, v)});
+  }
+  EXPECT_TRUE(
+      random_walk_gather(g, cluster, leaders.leader_of, tokens).complete);
+  tokens[4].push_back({4, std::vector<std::int64_t>(kMaxMessageWords, 1)});
+  const auto expect_rejected = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "oversized payload accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("origin 4"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(kMaxMessageWords) + " payload words"),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_rejected(
+      [&] { random_walk_gather(g, cluster, leaders.leader_of, tokens); });
+  expect_rejected(
+      [&] { reliable_walk_gather(g, cluster, leaders.leader_of, tokens); });
+  const auto tree = build_cluster_bfs_trees(g, cluster, leaders.leader_of);
+  expect_rejected([&] {
+    tree_gather(g, cluster, leaders.leader_of, tree.parent, tokens);
+  });
 }
 
 TEST(TreeGather, DeliversAllTokensDeterministically) {

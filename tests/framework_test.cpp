@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
@@ -99,6 +100,36 @@ TEST(Framework, LedgerHasModeledAndMeasuredEntries) {
   const auto rounds = return_results(p, words, "result return");
   EXPECT_GT(rounds, 0);
   EXPECT_GT(p.ledger.measured_total(), before);
+}
+
+// The return replays the forward walk schedule, so it is verified against
+// the bandwidth the walks ran at (GatherResult::bandwidth), not a value
+// recomputed from n.
+TEST(Framework, ReturnIsVerifiedAtTheWalkBandwidth) {
+  Graph g = graph::grid(8, 8);
+  std::vector<std::int64_t> words(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) words[v] = 3 * v + 1;
+
+  FrameworkOptions narrow;
+  narrow.walk_bandwidth = 1;
+  auto p = partition_and_gather(g, 0.3, narrow);
+  EXPECT_EQ(p.gather.bandwidth, 1);
+  return_results(p, words, "result return");
+  const auto& entry = p.ledger.entries().back();
+  ASSERT_EQ(entry.label, "result return");
+  EXPECT_EQ(entry.stats.max_edge_load, 1);
+
+  // At the default ceil(log2 n) the return loads some edge past 1 in some
+  // round; checked against a budget of 1 that schedule must be refused.
+  const auto wide = partition_and_gather(g, 0.3);
+  EXPECT_EQ(wide.gather.bandwidth, 6);
+  auto copy = wide;
+  return_results(copy, words, "result return");
+  ASSERT_GT(copy.ledger.entries().back().stats.max_edge_load, 1);
+  auto tightened = wide;
+  tightened.gather.bandwidth = 1;
+  EXPECT_THROW(return_results(tightened, words, "result return"),
+               std::logic_error);
 }
 
 TEST(Framework, HighDegreeDiagnosticsLemma23) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/congest/network.h"
+#include "src/congest/primitives.h"
 #include "src/congest/profiler.h"
 #include "src/congest/trace.h"
 #include "src/core/sweep.h"
@@ -213,6 +214,45 @@ TEST(SparseAlloc, TracedRoundsStayOffTheHeapInEveryTraceMode) {
       EXPECT_GT(recorder.events_retained(), 0);
     }
   }
+}
+
+// The random-walk gather (Lemma 2.4) keeps tokens inline from message to
+// message: its heap traffic is per token (traces, initial queues, the
+// delivered payloads), never per hop. The reversed delivery checks its
+// load with one counting-sorted array, not a node per hop.
+TEST(SparseAlloc, WalkGatherAllocatesPerTokenNotPerHop) {
+  const Graph g = graph::grid(16, 16);
+  const std::vector<int> cluster(g.num_vertices(), 0);
+  const std::vector<VertexId> leader(g.num_vertices(), 0);
+  // Theorem 2.6's token mix: a hello token per vertex, one per edge.
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back({v, {v, -1, 0, 0}});
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    tokens[ed.u].push_back({ed.u, {ed.u, ed.v, 1, 1}});
+  }
+  GatherOptions opt;
+  opt.net.bandwidth_tokens = 8;
+
+  std::int64_t before = allocation_count();
+  const GatherResult gather =
+      random_walk_gather(g, cluster, leader, tokens, opt);
+  const std::int64_t gather_allocs = allocation_count() - before;
+  ASSERT_TRUE(gather.complete);
+  EXPECT_LT(gather_allocs, gather.stats.messages_sent / 16)
+      << gather.stats.messages_sent << " messages";
+
+  const std::vector<std::vector<std::int64_t>> reply(gather.traces.size(),
+                                                     {1});
+  before = allocation_count();
+  const ReverseDeliveryResult back =
+      reverse_delivery(g.num_vertices(), gather, reply, gather.bandwidth);
+  const std::int64_t reverse_allocs = allocation_count() - before;
+  ASSERT_TRUE(back.load_ok);
+  EXPECT_LT(reverse_allocs, back.stats.messages_sent / 16)
+      << back.stats.messages_sent << " hops";
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <limits>
 #include <random>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -335,6 +334,42 @@ class WalkAlgo final : public VertexAlgorithm {
 
 // --- Reliable random-walk gather (DESIGN.md §12) ---------------------------------
 
+// Set of non-negative keys by open addressing with linear probing. The
+// table doubles in place of a node per key, so a vertex allocates
+// O(log accepted) times over a run instead of once per accepted hop.
+class FlatKeySet {
+ public:
+  // Adds `key` (>= 0); false if it was already present.
+  bool insert(std::int64_t key) {
+    assert(key >= 0);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = graph::splitmix64(static_cast<std::uint64_t>(key)) & mask;
+    for (;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] < 0) {
+        slots_[i] = key;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  void grow() {
+    std::vector<std::int64_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                                  -1);
+    old.swap(slots_);
+    size_ = 0;
+    for (const std::int64_t key : old) {
+      if (key >= 0) insert(key);
+    }
+  }
+
+  std::vector<std::int64_t> slots_;  // -1 marks an empty slot
+  std::size_t size_ = 0;
+};
+
 // WalkAlgo hardened against message faults. Token hops carry a per-token
 // sequence number packed into the routing word (id | seq << 44 — token ids
 // stay well under 2^44 and a hop count under 2^19 keeps the word positive);
@@ -385,7 +420,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
         }
         const std::int64_t packed = m.words[0];
         ack_queue_[i].push_back(packed);
-        if (!accepted_.insert(packed).second) continue;  // dup/replay
+        if (!accepted_.insert(packed)) continue;  // dup/replay
         Token& t = (is_leader_ ? absorbed_ : held_).emplace_back();
         t.id = packed & kIdMask;
         t.next_seq = (packed >> kSeqShift) + 1;
@@ -512,7 +547,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   std::int64_t base_round_;
   std::vector<TokenTrace>* traces_;
   std::vector<std::vector<std::int64_t>> ack_queue_;  // per intra index
-  std::set<std::int64_t> accepted_;
+  FlatKeySet accepted_;  // (id, seq) hops taken here
   std::vector<Pending> unacked_;
   bool started_ = false;
   bool sent_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 
 namespace ecd::seq {
@@ -11,14 +12,28 @@ using graph::VertexId;
 
 namespace {
 
-// Branch-and-bound state over a shrinking "alive" vertex set.
+// Branch-and-bound state over a shrinking "alive" vertex set. A search node
+// costs time in proportion to the vertices it removes and restores, not to
+// n (DESIGN.md §20): removals go on one shared undo trail, the degree-0/1
+// reductions drain a worklist in the order of repeated id-ordered passes,
+// and the pivot comes from per-degree bitsets.
 class MisSearch {
  public:
   MisSearch(const Graph& g, std::int64_t node_budget)
-      : g_(g), budget_(node_budget), alive_(g.num_vertices(), true),
-        degree_(g.num_vertices()) {
-    for (VertexId v = 0; v < g.num_vertices(); ++v) degree_[v] = g.degree(v);
+      : g_(g), budget_(node_budget), alive_(g.num_vertices(), 1),
+        degree_(g.num_vertices()),
+        words_(std::max(1, (g.num_vertices() + 63) / 64)),
+        cap_(std::clamp(kMaxBucketWords / words_ - 1, 0, g.max_degree())),
+        bits_(static_cast<std::size_t>(cap_ + 1) * words_, 0),
+        count_(cap_ + 1, 0) {
     alive_count_ = g.num_vertices();
+    trail_.reserve(g.num_vertices());
+    current_.reserve(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      degree_[v] = g.degree(v);
+      link(v);
+      if (degree_[v] <= 1) pass_.push_back(v);  // ascending, so a min-heap
+    }
   }
 
   std::optional<std::vector<VertexId>> run() {
@@ -31,32 +46,110 @@ class MisSearch {
   }
 
  private:
-  void remove_vertex(VertexId v, std::vector<VertexId>& log) {
-    alive_[v] = false;
+  // Bound on the bucket bitsets' size; degrees at or above the resulting
+  // cap share the top bucket.
+  static constexpr int kMaxBucketWords = 1 << 16;
+
+  int bucket(VertexId v) const { return std::min(degree_[v], cap_); }
+  std::uint64_t& bucket_word(VertexId v) {
+    return bits_[static_cast<std::size_t>(bucket(v)) * words_ + v / 64];
+  }
+  void link(VertexId v) {
+    bucket_word(v) |= std::uint64_t{1} << (v % 64);
+    ++count_[bucket(v)];
+    top_ = std::max(top_, bucket(v));
+  }
+  void unlink(VertexId v) {
+    bucket_word(v) &= ~(std::uint64_t{1} << (v % 64));
+    --count_[bucket(v)];
+  }
+
+  void remove_vertex(VertexId v) {
+    unlink(v);
+    alive_[v] = 0;
     --alive_count_;
-    log.push_back(v);
+    trail_.push_back(v);
     for (VertexId u : g_.neighbors(v)) {
-      if (alive_[u]) --degree_[u];
+      if (!alive_[u]) continue;
+      unlink(u);
+      if (--degree_[u] == 1) enqueue(u);
+      link(u);
     }
   }
 
-  void restore(const std::vector<VertexId>& log) {
-    for (auto it = log.rbegin(); it != log.rend(); ++it) {
-      const VertexId v = *it;
-      alive_[v] = true;
-      ++alive_count_;
+  void restore_to(std::size_t marker) {
+    while (trail_.size() > marker) {
+      const VertexId v = trail_.back();
+      trail_.pop_back();
       for (VertexId u : g_.neighbors(v)) {
-        if (alive_[u]) ++degree_[u];
+        if (!alive_[u]) continue;
+        unlink(u);
+        ++degree_[u];
+        link(u);
+      }
+      alive_[v] = 1;
+      ++alive_count_;
+      link(v);
+    }
+  }
+
+  void take_vertex(VertexId v) {
+    current_.push_back(v);
+    remove_vertex(v);
+    for (VertexId u : g_.neighbors(v)) {
+      if (alive_[u]) remove_vertex(u);
+    }
+  }
+
+  // A vertex whose residual degree fell to 1 becomes a reduction candidate:
+  // in the current pass if it lies past the cursor, else in the next.
+  void enqueue(VertexId v) {
+    if (v > cursor_) {
+      pass_.push_back(v);
+      std::push_heap(pass_.begin(), pass_.end(), std::greater<>());
+    } else {
+      next_pass_.push_back(v);
+    }
+  }
+
+  // Degree-0 and degree-1 vertices can always be taken. Takes them in the
+  // order of repeated passes over the ids until a pass finds none. During
+  // the reductions degrees only fall, so a candidate stays one until it is
+  // taken or removed, and the worklist holds every candidate.
+  void reduce() {
+    for (;;) {
+      if (pass_.empty()) {
+        if (next_pass_.empty()) break;
+        pass_.swap(next_pass_);
+        std::make_heap(pass_.begin(), pass_.end(), std::greater<>());
+        cursor_ = -1;
+      }
+      std::pop_heap(pass_.begin(), pass_.end(), std::greater<>());
+      const VertexId v = pass_.back();
+      pass_.pop_back();
+      if (!alive_[v]) continue;
+      cursor_ = v;
+      take_vertex(v);
+    }
+    cursor_ = -1;
+  }
+
+  // The alive vertex of maximum residual degree, lowest id on ties.
+  VertexId pivot() {
+    while (count_[top_] == 0) --top_;
+    const bool pooled = top_ == cap_ && cap_ < g_.max_degree();
+    const std::uint64_t* row = &bits_[static_cast<std::size_t>(top_) * words_];
+    VertexId best = graph::kInvalidVertex;
+    for (int w = 0; w < words_; ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const VertexId v = w * 64 + std::countr_zero(bits);
+        if (!pooled) return v;
+        if (best == graph::kInvalidVertex || degree_[v] > degree_[best]) {
+          best = v;
+        }
       }
     }
-  }
-
-  void take_vertex(VertexId v, std::vector<VertexId>& log) {
-    current_.push_back(v);
-    remove_vertex(v, log);
-    for (VertexId u : g_.neighbors(v)) {
-      if (alive_[u]) remove_vertex(u, log);
-    }
+    return best;
   }
 
   void recurse() {
@@ -66,58 +159,50 @@ class MisSearch {
       return;
     }
     // Trivial upper bound: everything still alive joins the set.
-    if (current_.size() + alive_count_ <= best_.size()) return;
-
-    // Reductions: degree-0 and degree-1 vertices can always be taken.
-    std::vector<VertexId> log;
-    std::size_t taken_marker = current_.size();
-    bool reduced = true;
-    while (reduced) {
-      reduced = false;
-      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-        if (alive_[v] && degree_[v] <= 1) {
-          take_vertex(v, log);
-          reduced = true;
-        }
-      }
+    if (current_.size() + alive_count_ <= best_.size()) {
+      pass_.clear();
+      return;
     }
+
+    const std::size_t trail_marker = trail_.size();
+    const std::size_t taken_marker = current_.size();
+    reduce();
     if (alive_count_ == 0) {
       if (current_.size() > best_.size()) best_ = current_;
     } else if (current_.size() + alive_count_ > best_.size()) {
       // Branch on a maximum-residual-degree vertex.
-      VertexId pivot = graph::kInvalidVertex;
-      int pivot_deg = -1;
-      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-        if (alive_[v] && degree_[v] > pivot_deg) {
-          pivot_deg = degree_[v];
-          pivot = v;
-        }
-      }
-      {
-        std::vector<VertexId> branch_log;
-        take_vertex(pivot, branch_log);
-        recurse();
-        restore(branch_log);
-        current_.resize(current_.size() - 1);
-      }
-      {
-        std::vector<VertexId> branch_log;
-        remove_vertex(pivot, branch_log);
-        recurse();
-        restore(branch_log);
-      }
+      const VertexId branch = pivot();
+      const std::size_t branch_marker = trail_.size();
+      take_vertex(branch);
+      recurse();
+      restore_to(branch_marker);
+      current_.pop_back();
+      remove_vertex(branch);
+      recurse();
+      restore_to(branch_marker);
     } else if (current_.size() > best_.size()) {
       best_ = current_;
     }
-    restore(log);
+    restore_to(trail_marker);
     current_.resize(taken_marker);
   }
 
   const Graph& g_;
   std::int64_t budget_;
-  std::vector<bool> alive_;
+  std::vector<std::uint8_t> alive_;
   std::vector<int> degree_;
   int alive_count_ = 0;
+  std::vector<VertexId> trail_;      // removed vertices, in removal order
+  std::vector<VertexId> pass_;       // min-heap: this pass's candidates
+  std::vector<VertexId> next_pass_;  // candidates at or before the cursor
+  VertexId cursor_ = -1;             // last vertex taken in this pass
+  // bits_ row b holds the alive vertices of residual degree b (row cap_:
+  // degree >= cap_); count_[b] is its population, top_ >= the top nonempty row.
+  int words_;
+  int cap_;
+  std::vector<std::uint64_t> bits_;
+  std::vector<int> count_;
+  int top_ = 0;
   std::vector<VertexId> current_;
   std::vector<VertexId> best_;
   bool ok_ = true;

@@ -63,6 +63,87 @@ TEST(ExactMis, BudgetExhaustionReturnsNullopt) {
   EXPECT_FALSE(max_independent_set_exact(g, 5).has_value());
 }
 
+// Pins the branch-and-bound search tree itself, not just the optimum's size:
+// B* is the smallest budget that succeeds (one unit per search node, so B*
+// is the tree's node count) and `hash` fingerprints the returned vertex
+// list, which depends on the reduction order and the pivot rule.
+TEST(ExactMis, SearchTreeIsUnchanged) {
+  struct Pinned {
+    enum Kind { kPlanar, kErdosRenyi } kind;
+    int n;
+    double m_or_p;
+    std::uint64_t seed;
+    std::int64_t min_budget;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const std::vector<Pinned> cases = {
+      {Pinned::kPlanar, 50, 100, 50001, 7, 25, 0x5ce62882d1c75b79ull},
+      {Pinned::kPlanar, 100, 200, 100001, 575, 49, 0x895b8748b4b2fc8aull},
+      {Pinned::kPlanar, 150, 300, 150001, 3491, 77, 0x355a3c27720bd19eull},
+      {Pinned::kPlanar, 200, 400, 200001, 7847, 105, 0x9e439f415cc4aec2ull},
+      {Pinned::kPlanar, 250, 500, 250001, 19599, 130, 0x7ab9e8084ac5c894ull},
+      {Pinned::kPlanar, 300, 600, 300002, 166527, 162, 0x1471fc1fd606f03dull},
+      {Pinned::kPlanar, 300, 600, 300005, 78695, 156, 0x7945efea93ba97bcull},
+      {Pinned::kPlanar, 350, 700, 350002, 23809, 184, 0x8bfd3bb3671131e8ull},
+      {Pinned::kPlanar, 350, 700, 350004, 40207, 191, 0xd28af155291efbe2ull},
+      {Pinned::kPlanar, 400, 800, 400003, 78431, 215, 0xeec23fe62080849cull},
+      {Pinned::kPlanar, 400, 800, 400004, 123919, 224, 0x787912e41e4581ecull},
+      {Pinned::kPlanar, 400, 800, 400001, 190783, 215, 0xa59fe1fda2b45699ull},
+      {Pinned::kPlanar, 120, 180, 7, 87, 67, 0x50261eb33fcfc8e9ull},
+      {Pinned::kPlanar, 240, 360, 8, 29, 148, 0x2d83473191f41174ull},
+      {Pinned::kPlanar, 400, 600, 9, 631, 231, 0x659d9ed8d959299cull},
+      {Pinned::kPlanar, 200, 500, 10, 72231, 97, 0x326f70831ac8497full},
+      {Pinned::kErdosRenyi, 30, 0.3, 11, 83, 9, 0xdad6af4be5b2aa35ull},
+      {Pinned::kErdosRenyi, 45, 0.15, 12, 101, 18, 0xf1fe9f21522db084ull},
+      {Pinned::kErdosRenyi, 60, 0.08, 13, 59, 28, 0xc7f479c42e0ea315ull},
+      {Pinned::kErdosRenyi, 80, 0.05, 14, 387, 35, 0x58524414c945ca40ull},
+      // Runs out of the 250 000-node budget the MIS application uses.
+      {Pinned::kPlanar, 300, 600, 300001, 939931, 158, 0x5a6877490db8b991ull},
+  };
+  auto fnv1a = [](const std::vector<VertexId>& vertices) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (VertexId v : vertices) {
+      h ^= static_cast<std::uint64_t>(v);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  auto check = [&](const Graph& g, std::int64_t min_budget, std::size_t size,
+                   std::uint64_t hash) {
+    const auto at = max_independent_set_exact(g, min_budget);
+    ASSERT_TRUE(at.has_value());
+    EXPECT_EQ(at->size(), size);
+    EXPECT_EQ(fnv1a(*at), hash);
+    EXPECT_FALSE(max_independent_set_exact(g, min_budget - 1).has_value());
+    if (min_budget > 250'000) {
+      EXPECT_FALSE(max_independent_set_exact(g, 250'000).has_value());
+    }
+  };
+  for (const Pinned& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " seed=" << c.seed);
+    Rng rng(c.seed);
+    check(c.kind == Pinned::kPlanar
+              ? graph::random_planar(c.n, static_cast<int>(c.m_or_p), rng)
+              : graph::erdos_renyi(c.n, c.m_or_p, rng),
+          c.min_budget, c.size, c.hash);
+  }
+  {
+    // Degrees above the solver's per-degree bitset cap, which share one
+    // bucket: hubs 1 and 2 (degree 1200) and hub 0 (degree 1100) over
+    // leaves 3..1202, the other vertices isolated. The pivot must still
+    // be hub 1: the highest degree, lowest id on ties.
+    SCOPED_TRACE("hubs");
+    std::vector<graph::Edge> edges;
+    for (VertexId leaf = 3; leaf <= 1202; ++leaf) {
+      if (leaf <= 1102) edges.push_back({0, leaf});
+      edges.push_back({1, leaf});
+      edges.push_back({2, leaf});
+    }
+    check(Graph::from_edges(5000, edges), 3, 4997, 0x3aa5520f8cd44ae0ull);
+  }
+}
+
 TEST(GreedyMis, MeetsDensityLowerBound) {
   Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {

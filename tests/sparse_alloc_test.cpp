@@ -255,5 +255,39 @@ TEST(SparseAlloc, WalkGatherAllocatesPerTokenNotPerHop) {
       << back.stats.messages_sent << " hops";
 }
 
+// The reliable gather's receivers remember every (token, seq) hop they have
+// accepted, so a retransmitted copy is acked but not taken twice. That
+// memory is one flat table per vertex, reused as it grows: with drops the
+// gather still allocates per token and per vertex (traces, queues, table
+// growth), not once per accepted hop. One long epoch keeps every hop in
+// the final traces, so `hops` counts each accepted hop once.
+TEST(SparseAlloc, ReliableGatherAllocatesPerTokenNotPerHop) {
+  const Graph g = graph::grid(8, 8);
+  const std::vector<int> cluster(g.num_vertices(), 0);
+  const std::vector<VertexId> leader(g.num_vertices(), 0);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back({v, {v, -1, 0, 0}});
+  }
+  ReliableGatherOptions opt;
+  opt.net.bandwidth_tokens = 4;
+  opt.net.faults.seed = 7;
+  opt.net.faults.drop_probability = 0.01;
+  opt.epoch_rounds = 4096;
+
+  const std::int64_t before = allocation_count();
+  const ReliableGatherResult result =
+      reliable_walk_gather(g, cluster, leader, tokens, opt);
+  const std::int64_t allocs = allocation_count() - before;
+  ASSERT_TRUE(result.gather.complete);
+  ASSERT_EQ(result.epochs, 1);
+  ASSERT_GT(result.retransmissions, 0);
+  std::int64_t hops = 0;
+  for (const TokenTrace& t : result.gather.traces) {
+    hops += static_cast<std::int64_t>(t.hop_round.size());
+  }
+  EXPECT_LT(allocs, hops / 4) << hops << " hops";
+}
+
 }  // namespace
 }  // namespace ecd::congest

@@ -339,12 +339,20 @@ class SaturateAlgo final : public VertexAlgorithm {
   explicit SaturateAlgo(int rounds) : rounds_(rounds) {}
 
   void round(Context& ctx) override {
+    // The mix wraps, so it runs in uint64_t (signed overflow is undefined);
+    // the bits are those of the two's-complement int64_t arithmetic.
     for (int p = 0; p < ctx.num_ports(); ++p) {
-      for (const Message& m : ctx.inbox(p)) sink_ += m.words[0];
+      for (const Message& m : ctx.inbox(p)) {
+        sink_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(sink_) +
+                                          static_cast<std::uint64_t>(m.words[0]));
+      }
     }
     if (ctx.round() < rounds_) {
+      const auto mixed = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(sink_) * 31 +
+          static_cast<std::uint64_t>(ctx.id()));
       for (int p = 0; p < ctx.num_ports(); ++p) {
-        ctx.send(p, {{(sink_ * 31 + ctx.id()) ^ ctx.round()}});
+        ctx.send(p, {{mixed ^ ctx.round()}});
       }
     } else {
       done_ = true;

@@ -9,8 +9,9 @@
 //   local_rounds     rounds of the LOCAL-model flood gather (≈ diameter)
 //   local_max_words  largest single LOCAL message in words — the gap
 //   congest_words    total words the CONGEST gather moved
-//   trace_*          congestion counters from an untimed traced re-run
-//                    (peak/p99 edge load, words per phase)
+//   trace_*          congestion counters from an untimed re-run with a
+//                    MetricsRegistry attached (peak edge load, words,
+//                    words per phase)
 //   allocs_per_round heap allocations per simulated round across one whole
 //                    partition_and_gather pipeline (host-side decomposition
 //                    work included — contrast with bench_network, whose
@@ -62,13 +63,13 @@ void BM_Routing(benchmark::State& state) {
   state.counters["local_max_words"] =
       static_cast<double>(local.max_message_words);
 
-  // Untimed traced re-run: congestion counters for this row (the timed loop
-  // above keeps the default null sink, so tracing cost never enters timing).
-  ecd::congest::MetricsCollector collector;
-  core::FrameworkOptions traced;
-  traced.trace = &collector;
-  core::partition_and_gather(g, 0.3, traced);
-  bench::register_trace_counters(state, collector);
+  // Untimed metered re-run: congestion counters for this row (the timed loop
+  // above attaches no observer, so metering cost never enters timing).
+  congest::MetricsRegistry metrics;
+  core::FrameworkOptions metered;
+  metered.metrics = &metrics;
+  core::partition_and_gather(g, 0.3, metered);
+  bench::register_trace_counters(state, metrics);
 
   // Allocation audit over one full pipeline run.
   std::int64_t allocs = 0;

@@ -54,23 +54,21 @@
 //                                            the Thm 2.6 pipeline; flood =
 //                                            one wavefront from vertex 0;
 //                                            mis = Luby MIS)
-//              --top <k>                     hotspot / congested edges to
-//                                            print and report (default 10)
-//              --trace <path>                attach the metrics collector;
-//                                            write JSONL when the name ends
-//                                            in .jsonl, a Chrome trace
-//                                            otherwise; print the hotspot
-//                                            report
+//              --top <k>                     congested edges to print and
+//                                            report (default 10)
+//              --trace <path>                attach the flight recorder and
+//                                            write its flight JSONL (the last
+//                                            --ring rounds of events; auto-
+//                                            dumped on an aborted run); print
+//                                            the registry's --top most
+//                                            congested edges
 //              --sample r[,v[,t]]            trace sampling filters: keep
 //                                            rounds r | round, delivery
 //                                            events for vertices v | vertex,
 //                                            messages with tag == t (t < 0:
 //                                            all tags); defaults 1,1,-1
-//              --ring <k>                    flight-recorder mode: bounded
-//                                            ring of the last k rounds of
-//                                            events written to --trace as
-//                                            flight JSONL (auto-dumped on an
-//                                            aborted run); no hotspot report
+//              --ring <k>                    rounds of events the --trace
+//                                            ring keeps (default 64)
 //              --report <path>               ecd-run-report-v1 JSON
 //              --profile <path>              attach the execution profiler;
 //                                            print the per-shard table and
@@ -348,8 +346,8 @@ RunArgs parse_run(int argc, char** argv) {
 
 // Theorem 2.6 pipeline (or a flood / Luby MIS workload) run once, with a
 // MetricsRegistry always attached and every requested observer on the same
-// run: --trace adds a MetricsCollector (a FlightRecorder with --ring),
-// --profile / --timeline an ExecutionProfiler.
+// run: --trace adds a FlightRecorder, --profile / --timeline an
+// ExecutionProfiler.
 int cmd_run(int argc, char** argv) {
   const RunArgs a = parse_run(argc, argv);
   ecd::graph::Rng rng(a.seed);
@@ -364,19 +362,14 @@ int cmd_run(int argc, char** argv) {
   if (!a.timeline_path.empty()) timeline_out = open_or_exit(a.timeline_path);
 
   ecd::congest::MetricsRegistry metrics;
-  std::optional<ecd::congest::MetricsCollector> collector;
   std::optional<ecd::congest::FlightRecorder> recorder;
-  ecd::congest::TraceSink* trace = nullptr;
-  if (a.ring > 0) {
-    // A bounded ring of the last --ring rounds, no per-edge aggregation and
-    // no hotspot report: the trace shape for runs too large for the
-    // collector. The ring auto-dumps when the run aborts.
+  if (!a.trace_path.empty()) {
+    // A bounded ring of the last --ring rounds of events; it auto-dumps
+    // when the run aborts.
     ecd::congest::FlightRecorder::Options ropt;
-    ropt.keep_rounds = a.ring;
-    trace = &recorder.emplace(ropt);
+    if (a.ring > 0) ropt.keep_rounds = a.ring;
+    recorder.emplace(ropt);
     recorder->set_auto_dump(&trace_out);
-  } else if (!a.trace_path.empty()) {
-    trace = &collector.emplace();
   }
   std::optional<ecd::congest::ExecutionProfiler> profiler;
   if (!a.profile_path.empty() || !a.timeline_path.empty()) profiler.emplace();
@@ -384,7 +377,7 @@ int cmd_run(int argc, char** argv) {
   ecd::congest::NetworkOptions nopt;
   nopt.num_threads = a.threads;
   nopt.sparse_serial_threshold = a.sparse_threshold;
-  nopt.trace = trace;
+  nopt.trace = recorder ? &*recorder : nullptr;
   nopt.trace_config = a.sample;
   nopt.metrics = &metrics;
   nopt.profiler = profiler ? &*profiler : nullptr;
@@ -490,18 +483,13 @@ int cmd_run(int argc, char** argv) {
     std::printf("\nround ledger:\n%s\n", partition->ledger.to_string().c_str());
   }
 
-  if (collector) {
-    std::printf("%s",
-                ecd::congest::hotspot_report(*collector, a.top_k).c_str());
-    const bool jsonl = a.trace_path.ends_with(".jsonl");
-    if (jsonl) {
-      ecd::congest::export_jsonl(*collector, trace_out);
-    } else {
-      ecd::congest::export_chrome_trace(*collector, trace_out);
+  if (recorder) {
+    std::printf("top congested directed edges (by total messages):\n");
+    for (const auto& e : metrics.top_edges(a.top_k)) {
+      std::printf("  %d->%d: %lld msgs, %lld words, peak load %d\n", e.from,
+                  e.to, static_cast<long long>(e.messages),
+                  static_cast<long long>(e.words), e.peak_load);
     }
-    std::printf("wrote %s (%s format)\n", a.trace_path.c_str(),
-                jsonl ? "jsonl" : "chrome");
-  } else if (recorder) {
     recorder->dump_jsonl(trace_out);
     std::printf("wrote %s (flight format, %lld events retained, %lld"
                 " dropped, last round %lld)\n",

@@ -1,9 +1,8 @@
 // Always-on, parallel-safe metrics for the CONGEST simulator
 // (DESIGN.md §13 "Metrics registry").
 //
-// The legacy TraceSink (src/congest/trace.h) streams one callback per
-// event, which pins a Network to the serial round loop. This registry is
-// the aggregate-only counterpart: the Network accumulates per-tag traffic,
+// The TraceSink (src/congest/trace.h) streams one callback per event; this
+// registry is the one aggregate: the Network accumulates per-tag traffic,
 // per-edge high-water marks and causal-depth ("critical path") updates in
 // per-shard, cache-line-padded rows during the round, and reduces them on
 // the orchestrating thread at the existing round barrier — the same
@@ -24,16 +23,16 @@
 //     lower-bounds any completion-time schedule of the same run);
 //   * named counters / gauges / histograms for algorithm-layer facts
 //     (gather retransmissions, epochs, re-elections, ...);
-//   * a stack of "phases" (MetricsPhase RAII, mirrors TRACE_SPAN): every
-//     round and tag record accrues to each open phase, so a
-//     partition_and_gather run yields per-phase round/bandwidth
-//     histograms without any per-event callback.
+//   * a stack of "phases" (MetricsPhase RAII): every round and tag record
+//     accrues to each open phase, so a partition_and_gather run yields its
+//     "phase:*" table — per-phase rounds, traffic and histograms — without
+//     any per-event callback.
 //
 // write_json() emits the whole snapshot deterministically (fixed key
 // order, sorted edges/counters, integer-only values) — the thread-count
 // determinism tests literally compare snapshot strings. write_run_report()
 // wraps a snapshot in the "ecd-run-report-v1" schema consumed by
-// `ecd_cli report` (schema documented in DESIGN.md §13).
+// `ecd_cli run --report` (schema documented in DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -139,7 +138,7 @@ struct EdgeLoadStats {
 
 // One named phase (MetricsPhase). Phases accrue every round and tag record
 // that happens while they are open, so a parent's numbers include its
-// children's — the same containment rule as SpanStats.
+// children's.
 struct PhaseMetrics {
   std::string name;
   int depth = 0;  // 0 = top-level
@@ -263,8 +262,7 @@ class MetricsRegistry {
   std::map<std::string, LogHistogram, std::less<>> histograms_;
 };
 
-// RAII phase guard; null registry => no-op. Safe to use alongside
-// TRACE_SPAN — the two layers are independent.
+// RAII phase guard; null registry => no-op.
 class MetricsPhase {
  public:
   MetricsPhase(MetricsRegistry* registry, std::string_view name)

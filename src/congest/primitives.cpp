@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/congest/trace.h"
 #include "src/graph/splitmix.h"
 
 namespace ecd::congest {
@@ -779,7 +778,6 @@ class DiameterCheckAlgo final : public VertexAlgorithm {
 LeaderElectionResult elect_cluster_leaders(const Graph& g,
                                            const std::vector<int>& cluster_of,
                                            const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "leader_election");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.reserve(g.num_vertices());
@@ -804,7 +802,6 @@ BfsTreeResult build_cluster_bfs_trees(const Graph& g,
                                       const std::vector<int>& cluster_of,
                                       const std::vector<VertexId>& leader_of,
                                       const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "bfs_tree");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<BfsAlgo*> typed(g.num_vertices());
@@ -830,7 +827,6 @@ OrientationResult orient_cluster_edges(const Graph& g,
                                        const std::vector<int>& cluster_of,
                                        int peel_threshold,
                                        const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "orientation");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<PeelAlgo*> typed(g.num_vertices());
@@ -863,7 +859,6 @@ GatherResult random_walk_gather(const Graph& g,
                                 const std::vector<std::vector<GatherToken>>& tokens,
                                 const GatherOptions& options) {
   check_payloads(tokens);
-  TRACE_SPAN(options.net.trace, "walk_gather");
   const auto intra = intra_cluster_ports(g, cluster_of);
   GatherResult result;
   result.bandwidth = options.net.bandwidth_tokens;
@@ -923,7 +918,6 @@ ReliableGatherResult reliable_walk_gather(
     const std::vector<std::vector<GatherToken>>& tokens,
     const ReliableGatherOptions& options) {
   check_payloads(tokens);
-  TRACE_SPAN(options.net.trace, "fault:reliable_gather");
   const auto intra = intra_cluster_ports(g, cluster_of);
   const int n = g.num_vertices();
   const FaultPlan& base_plan = options.net.faults;
@@ -1017,7 +1011,6 @@ ReliableGatherResult reliable_walk_gather(
       }
     }
     if (leader_dead) {
-      TRACE_SPAN(options.net.trace, "fault:reelect");
       NetworkOptions eopt = options.net;
       eopt.faults = FaultPlan{};
       eopt.faults.crashes = relative_crashes(base_round);
@@ -1029,7 +1022,6 @@ ReliableGatherResult reliable_walk_gather(
       ++result.reelections;
     }
 
-    TRACE_SPAN(options.net.trace, "fault:epoch");
     NetworkOptions nopt = options.net;
     FaultPlan& plan = nopt.faults;
     plan.seed = epoch == 0 ? base_plan.seed
@@ -1231,7 +1223,6 @@ BroadcastResult broadcast_from_leaders(const Graph& g,
                                        const std::vector<VertexId>& leader_of,
                                        const std::vector<std::int64_t>& leader_value,
                                        const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "broadcast");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<FloodAlgo*> typed(g.num_vertices());
@@ -1258,7 +1249,6 @@ TreeGatherResult tree_gather(const Graph& g,
                              const std::vector<std::vector<GatherToken>>& tokens,
                              const NetworkOptions& net) {
   check_payloads(tokens);
-  TRACE_SPAN(net.trace, "tree_gather");
   const int n = g.num_vertices();
   std::int64_t expected = 0;
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
@@ -1301,7 +1291,6 @@ ConvergecastResult convergecast_fold(const Graph& g,
                                      const std::vector<int>& depth,
                                      const std::vector<std::int64_t>& value,
                                      Fold fold, const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "convergecast");
   (void)depth;  // the child-announcement protocol needs no depth knowledge
   const int n = g.num_vertices();
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
@@ -1335,7 +1324,6 @@ DiameterCheckResult check_cluster_diameter(const Graph& g,
                                            const std::vector<int>& cluster_of,
                                            int bound,
                                            const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "diameter_check");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<DiameterCheckAlgo*> typed(g.num_vertices());

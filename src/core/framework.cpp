@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "src/congest/metrics.h"
-#include "src/congest/trace.h"
 #include "src/expander/distributed_decomposition.h"
 #include "src/graph/metrics.h"
 #include "src/graph/splitmix.h"
@@ -89,15 +88,30 @@ Partition partition_and_gather(const Graph& g, double eps,
   // the old multiplicative mixes left the decomposition and gather streams
   // trivially correlated across nearby user seeds (seed=1 reuse).
   dopt.seed = graph::splitmix64(dopt.seed ^ graph::splitmix64(options.seed));
+
+  congest::NetworkOptions control_net;  // bandwidth-1 control traffic
+  control_net.trace = options.trace;
+  control_net.trace_config = options.trace_config;
+  control_net.metrics = options.metrics;
+  control_net.profiler = options.profiler;
+  control_net.num_threads = options.num_threads;
+  control_net.sparse_serial_threshold = options.sparse_serial_threshold;
+
   {
-    TRACE_SPAN(options.trace, "phase:decomposition");
     congest::MetricsPhase mphase(options.metrics, "phase:decomposition");
     if (options.decomposition_mode == DecompositionMode::kDistributed) {
       expander::DistributedDecompositionOptions ddopt;
       ddopt.phi = dopt.phi;
       ddopt.seed = dopt.seed;
       ddopt.max_retries = dopt.max_retries;
-      ddopt.trace = options.trace;
+      ddopt.net = control_net;
+      // The construction stays serial at every num_threads: its thousands
+      // of short rounds (a few words per edge each) lose more to dispatch
+      // and barriers than sharding wins back. Running it at 4 threads
+      // raised the mcm_planar_dist_t4 pipeline benchmark's run_s from
+      // 0.49-0.64 s to 0.69-0.81 s (4-CPU container, seeds 1-3, two
+      // alternating pairs each).
+      ddopt.net.num_threads = 1;
       const auto dd =
           expander::distributed_expander_decompose(g, out.eps_effective, ddopt);
       out.decomposition = dd.decomposition;
@@ -114,18 +128,10 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
 
   const auto& cluster_of = out.decomposition.cluster_of;
-  congest::NetworkOptions control_net;  // bandwidth-1 control traffic
-  control_net.trace = options.trace;
-  control_net.trace_config = options.trace_config;
-  control_net.metrics = options.metrics;
-  control_net.profiler = options.profiler;
-  control_net.num_threads = options.num_threads;
-  control_net.sparse_serial_threshold = options.sparse_serial_threshold;
 
   // Leader election: the paper elects a maximum-cluster-degree vertex.
   congest::LeaderElectionResult election;
   {
-    TRACE_SPAN(options.trace, "phase:election");
     congest::MetricsPhase mphase(options.metrics, "phase:election");
     election = congest::elect_cluster_leaders(g, cluster_of, control_net);
   }
@@ -141,7 +147,6 @@ Partition partition_and_gather(const Graph& g, double eps,
   const int threshold = std::max(1, graph::degeneracy(g).degeneracy);
   congest::OrientationResult orientation;
   {
-    TRACE_SPAN(options.trace, "phase:orientation");
     congest::MetricsPhase mphase(options.metrics, "phase:orientation");
     orientation =
         congest::orient_cluster_edges(g, cluster_of, threshold, control_net);
@@ -172,12 +177,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
   GatherOptions gopt;
   gopt.seed = graph::splitmix64(options.seed ^ 0x2545F4914F6CDD1DULL);
-  gopt.net.trace = options.trace;
-  gopt.net.trace_config = options.trace_config;
-  gopt.net.metrics = options.metrics;
-  gopt.net.profiler = options.profiler;
-  gopt.net.num_threads = options.num_threads;
-  gopt.net.sparse_serial_threshold = options.sparse_serial_threshold;
+  gopt.net = control_net;
   gopt.net.bandwidth_tokens =
       options.walk_bandwidth > 0
           ? options.walk_bandwidth
@@ -188,7 +188,6 @@ Partition partition_and_gather(const Graph& g, double eps,
     ropt.net.faults = options.faults;
     ropt.seed = gopt.seed;
     ropt.epoch_rounds = options.gather_epoch_rounds;
-    TRACE_SPAN(options.trace, "phase:gather");
     congest::MetricsPhase mphase(options.metrics, "phase:gather");
     congest::ReliableGatherResult reliable = congest::reliable_walk_gather(
         g, cluster_of, out.leader_of, tokens, ropt);
@@ -213,7 +212,6 @@ Partition partition_and_gather(const Graph& g, double eps,
     out.ledger.add_measured("topology gather (reliable walks, §12)",
                             out.gather.stats);
   } else {
-    TRACE_SPAN(options.trace, "phase:gather");
     congest::MetricsPhase mphase(options.metrics, "phase:gather");
     out.gather = congest::random_walk_gather(g, cluster_of, out.leader_of,
                                              tokens, gopt);
@@ -224,7 +222,6 @@ Partition partition_and_gather(const Graph& g, double eps,
   out.gather_complete = gather.complete;
 
   // Leader-side reconstruction.
-  TRACE_SPAN(options.trace, "phase:reconstruct");
   congest::MetricsPhase reconstruct_phase(options.metrics, "phase:reconstruct");
   const auto members = expander::cluster_members(out.decomposition);
   out.clusters.resize(out.decomposition.num_clusters);

@@ -54,13 +54,12 @@ struct FrameworkOptions {
   // Divide ε by the graph-class density bound t (Theorem 2.6's ε' = ε/t).
   // When 0 the bound is taken as max(1, ceil(|E|/|V|)) of the input.
   int density_bound = 0;
-  // Observability (src/congest/trace.h): when set, the pipeline opens a
-  // "phase:*" span around each of its five phases (decomposition, election,
-  // orientation, gather, reconstruct), the primitives nest their own spans
-  // inside, and every simulator round/edge/message event is reported. Null:
-  // zero overhead. Valid at every num_threads value — sharded trace lanes
-  // (DESIGN.md §18) replay events on the caller in a fixed merge order, so
-  // the event stream is byte-identical across thread counts.
+  // Event stream (src/congest/trace.h): when set, every simulator
+  // round/edge/message event of every phase is reported — the distributed
+  // decomposition's included. Null: zero overhead. Valid at every
+  // num_threads value — sharded trace lanes (DESIGN.md §18) replay events
+  // on the caller in a fixed merge order, so the event stream is
+  // byte-identical across thread counts.
   congest::TraceSink* trace = nullptr;
   // Sampling filters and flight-recorder gating for `trace`
   // (NetworkOptions::trace_config): round/vertex/tag filters that bound
@@ -68,18 +67,21 @@ struct FrameworkOptions {
   congest::TraceConfig trace_config;
   // Aggregate metrics (src/congest/metrics.h): when set, every simulated
   // phase runs with the registry attached — per-tag traffic, round
-  // histograms, edge high-water marks, critical path — and each pipeline
-  // phase opens a "phase:*" MetricsPhase. Unlike `trace`, works at every
-  // `num_threads` value with bit-identical snapshots.
+  // histograms, edge high-water marks, critical path — and each of the five
+  // pipeline phases (decomposition, election, orientation, gather,
+  // reconstruct) opens a "phase:*" MetricsPhase: the pipeline's one phase
+  // table. Snapshots are bit-identical at every `num_threads` value.
   congest::MetricsRegistry* metrics = nullptr;
   // Wall-clock execution profiler (src/congest/profiler.h, DESIGN.md §14):
-  // when set, every simulated phase (election, orientation, gather) runs
-  // with per-shard phase/barrier timestamping. Purely observational —
+  // when set, every simulated phase (the distributed decomposition,
+  // election, orientation, gather) runs with per-shard phase/barrier
+  // timestamping. Purely observational —
   // results and metrics snapshots are unchanged — and valid at every
   // num_threads value.
   congest::ExecutionProfiler* profiler = nullptr;
   // Worker threads for the simulated phases (NetworkOptions::num_threads):
-  // 1 = serial (default), 0 = hardware concurrency, k = k shards.
+  // 1 = serial (default), 0 = hardware concurrency, k = k shards. The
+  // distributed decomposition runs serially at every value.
   int num_threads = 1;
   // Sparse-round serial fallback cutoff for the simulated phases
   // (NetworkOptions::sparse_serial_threshold): rounds with at most this

@@ -9,7 +9,6 @@
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
-#include "src/congest/trace.h"
 
 namespace ecd::expander {
 
@@ -154,12 +153,10 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
                        const DistributedDecompositionOptions& options,
                        std::vector<bool>& finalized, int level,
                        std::vector<double>& best_cut_seen) {
-  TRACE_SPAN(options.trace, "decomposition_level");
   LevelOutcome outcome;
   const int n = g.num_vertices();
   const auto intra = intra_ports(g, piece_of);
-  congest::NetworkOptions net;
-  net.trace = options.trace;
+  const congest::NetworkOptions& net = options.net;
 
   // Phase 1+2: power iteration and score exchange (one Network run).
   const int iterations = auto_iterations(n, phi, options.power_iterations);

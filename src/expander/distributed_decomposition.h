@@ -27,12 +27,9 @@
 
 #include <cstdint>
 
+#include "src/congest/network.h"
 #include "src/expander/decomposition.h"
 #include "src/graph/graph.h"
-
-namespace ecd::congest {
-class TraceSink;  // src/congest/trace.h
-}
 
 namespace ecd::expander {
 
@@ -45,8 +42,10 @@ struct DistributedDecompositionOptions {
   int max_levels = 64;
   int max_retries = 4;
   std::uint64_t seed = 1;
-  // Observes every simulator round of the construction (null: no tracing).
-  congest::TraceSink* trace = nullptr;
+  // Options of every Network run of the construction: its observers
+  // (trace, metrics, profiler) see each round. The default is a serial,
+  // unobserved, bandwidth-1 network.
+  congest::NetworkOptions net;
 };
 
 struct DistributedDecompositionResult {

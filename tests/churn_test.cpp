@@ -559,32 +559,41 @@ TEST(ChurnTrace, EventsEmitPerEventInScheduleOrderWithEndpoints) {
   EXPECT_TRUE(rec.purges.empty());
 }
 
+// The flight recorder's dump lines of type `type`, in order.
+std::vector<std::string> flight_lines(const congest::FlightRecorder& fr,
+                                      const std::string& type) {
+  std::ostringstream os;
+  fr.dump_jsonl(os);
+  std::istringstream lines(os.str());
+  std::vector<std::string> out;
+  const std::string prefix = "{\"type\":\"" + type + "\",";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) out.push_back(line);
+  }
+  return out;
+}
+
 TEST(ChurnTrace, CollectorPinsChurnStatsAndExportsTheChurnLine) {
   const Graph g = Graph::from_edges(3, {{0, 1}, {1, 2}});
   NetworkOptions opt;
   opt.faults = traced_churn_plan();
-  congest::MetricsCollector mc;
-  opt.trace = &mc;
+  congest::FlightRecorder recorder;
+  opt.trace = &recorder;
   Network net(g, opt);
   auto algos = make_probes(g, /*rounds=*/8);
   net.run(algos);
 
-  const congest::ChurnStats& c = mc.churn_stats();
-  EXPECT_EQ(c.edge_inserts, 1);
-  EXPECT_EQ(c.edge_deletes, 0);
-  EXPECT_EQ(c.node_leaves, 1);
-  EXPECT_EQ(c.node_joins, 1);
-  EXPECT_EQ(c.total_events(), 3);
-  EXPECT_EQ(c.purge_events, 0);
-  EXPECT_EQ(c.messages_purged, 0);
-
-  std::ostringstream os;
-  congest::export_jsonl(mc, os);
-  EXPECT_NE(os.str().find("{\"type\":\"churn\",\"edge_inserts\":1,"
-                          "\"edge_deletes\":0,\"node_leaves\":1,"
-                          "\"node_joins\":1,\"purge_events\":0,"
-                          "\"messages_purged\":0}"),
-            std::string::npos);
+  // One churn line per event (kind: 0 edge insert, 1 edge delete, 2 node
+  // leave, 3 node join), in schedule order; no purge lines.
+  EXPECT_EQ(flight_lines(recorder, "churn"),
+            (std::vector<std::string>{
+                "{\"type\":\"churn\",\"round\":2,\"kind\":2,\"u\":1,"
+                "\"v\":-1}",
+                "{\"type\":\"churn\",\"round\":4,\"kind\":0,\"u\":0,"
+                "\"v\":2}",
+                "{\"type\":\"churn\",\"round\":5,\"kind\":3,\"u\":1,"
+                "\"v\":-1}"}));
+  EXPECT_TRUE(flight_lines(recorder, "purge").empty());
 }
 
 TEST(ChurnTrace, DeliveryPurgesAreTracedPerEdgeButSendDropsAreNot) {
@@ -629,15 +638,17 @@ TEST(ChurnTrace, SendDropsCountInRunStatsButNotAsPurgeEvents) {
   plan.churn = {{ChurnKind::kEdgeDelete, 3, 0, 1}};
   NetworkOptions opt;
   opt.faults = plan;
-  congest::MetricsCollector mc;
-  opt.trace = &mc;
+  congest::FlightRecorder recorder;
+  opt.trace = &recorder;
   Network net(g, opt);
   auto algos = make_probes(g, /*rounds=*/6);
   const RunStats stats = net.run(algos);
   EXPECT_EQ(stats.messages_purged, 6);
-  EXPECT_EQ(mc.churn_stats().edge_deletes, 1);
-  EXPECT_EQ(mc.churn_stats().purge_events, 0);
-  EXPECT_EQ(mc.churn_stats().messages_purged, 0);
+  EXPECT_EQ(flight_lines(recorder, "churn"),
+            (std::vector<std::string>{
+                "{\"type\":\"churn\",\"round\":3,\"kind\":1,\"u\":0,"
+                "\"v\":1}"}));
+  EXPECT_TRUE(flight_lines(recorder, "purge").empty());
 }
 
 }  // namespace

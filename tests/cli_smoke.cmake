@@ -4,8 +4,8 @@
 # It checks that:
 #   - one run writes a trace, a run report and a profile together, at
 #     threads 1 and 4;
-#   - the two JSONL traces are byte-identical (DESIGN.md §18);
-#   - --ring writes a flight dump;
+#   - the two flight JSONL traces are byte-identical (DESIGN.md §18);
+#   - --ring sets the rounds the flight dump keeps;
 #   - an unknown family exits non-zero.
 cmake_minimum_required(VERSION 3.16)
 
@@ -49,7 +49,7 @@ endfunction()
 foreach(t 1 4)
   ecd_run_ok(--family grid --n 256 --threads ${t} --trace trace_t${t}.jsonl
              --report report_t${t}.json --profile profile_t${t}.json)
-  expect_contains(trace_t${t}.jsonl "\"type\":\"meta\"")
+  expect_contains(trace_t${t}.jsonl "\"type\":\"flight\"")
   expect_contains(report_t${t}.json "\"schema\":\"ecd-run-report-v1\"")
   expect_contains(profile_t${t}.json "\"schema\":\"ecd-profile-v1\"")
 endforeach()

@@ -2,9 +2,9 @@
 // Network integration: histogram/accumulator units, bit-identical
 // snapshots across NetworkOptions::num_threads (the §13 parallel-safety
 // contract, checked as literal JSON string equality), the critical-path
-// estimate on a topology where the answer is known exactly, agreement with
-// the legacy serial MetricsCollector, phase accrual, named instruments,
-// and the ecd-run-report-v1 document consumed by `ecd_cli report`.
+// estimate on a topology where the answer is known exactly, phase accrual,
+// named instruments, and the ecd-run-report-v1 document written by
+// `ecd_cli run --report`.
 #include "src/congest/metrics.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "src/baselines/luby_mis.h"
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
-#include "src/congest/trace.h"
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -315,50 +314,6 @@ TEST(MetricsCriticalPath, PathGraphBroadcastIsExact) {
     EXPECT_EQ(reg.critical_path_longest_run(), kN) << "threads=" << threads;
     EXPECT_EQ(reg.critical_path_total(), kN) << "threads=" << threads;
   }
-}
-
-// --- Cross-validation against the legacy serial collector -------------------
-
-TEST(MetricsRegistryVsCollector, TagTrafficAndTotalsAgree) {
-  graph::Rng rng(77);
-  const Graph g = graph::random_maximal_planar(64, rng);
-  std::vector<int> cluster(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) cluster[v] = v % 3 == 0;
-
-  auto workload = [&](const NetworkOptions& net) {
-    const auto leaders = elect_cluster_leaders(g, cluster, net);
-    std::vector<std::int64_t> leader_value(g.num_vertices(), 0);
-    broadcast_from_leaders(g, cluster, leaders.leader_of, leader_value, net);
-    check_cluster_diameter(g, cluster, 8, net);
-  };
-
-  MetricsCollector mc;
-  NetworkOptions traced;
-  traced.trace = &mc;
-  workload(traced);
-
-  MetricsRegistry reg;
-  NetworkOptions metered;
-  metered.metrics = &reg;
-  workload(metered);
-
-  EXPECT_EQ(reg.totals().rounds, mc.totals().rounds);
-  EXPECT_EQ(reg.totals().messages_sent, mc.totals().messages_sent);
-  EXPECT_EQ(reg.totals().words_sent, mc.totals().words_sent);
-  EXPECT_EQ(reg.totals().max_edge_load, mc.totals().max_edge_load);
-  EXPECT_EQ(reg.runs_observed(), mc.runs_observed());
-  for (const int tag : {kTagElection, kTagBroadcast, kTagDiameter}) {
-    ASSERT_TRUE(mc.tag_stats().count(tag)) << tag;
-    EXPECT_EQ(reg.tag_messages(tag), mc.tag_stats().at(tag).messages) << tag;
-    EXPECT_EQ(reg.tag_words(tag), mc.tag_stats().at(tag).words) << tag;
-  }
-  // Edge totals: both layers observed every delivered message.
-  std::int64_t reg_edge_messages = 0;
-  for (const auto& e : reg.top_edges(-1)) reg_edge_messages += e.messages;
-  std::int64_t mc_edge_messages = 0;
-  for (const auto& e : mc.top_edges(-1)) mc_edge_messages += e.messages;
-  EXPECT_EQ(reg_edge_messages, mc_edge_messages);
-  EXPECT_EQ(reg_edge_messages, reg.totals().messages_sent);
 }
 
 // --- Framework integration and the run report --------------------------------

@@ -3,7 +3,7 @@
 // order, double-buffer isolation between rounds, WordBuffer spill
 // behaviour, send-side validation, the max_rounds budget, bit-identical
 // results across thread counts, error recovery after aborted runs, and a
-// parity fixture pinning trace/RunStats output to numbers recorded on the
+// parity fixture pinning metrics/RunStats output to numbers recorded on the
 // pre-arena simulator.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/congest/primitives.h"
 #include "src/congest/profiler.h"
 #include "src/congest/thread_pool.h"
-#include "src/congest/trace.h"
 #include "src/graph/generators.h"
 
 namespace ecd::congest {
@@ -862,17 +861,16 @@ void expect_stats(const RunStats& s, std::int64_t rounds, std::int64_t msgs,
   EXPECT_EQ(s.max_edge_load, max_load);
 }
 
-void expect_tag(const MetricsCollector& mc, int tag, std::int64_t msgs,
+void expect_tag(const MetricsRegistry& metrics, int tag, std::int64_t msgs,
                 std::int64_t words) {
-  ASSERT_TRUE(mc.tag_stats().count(tag)) << "tag " << tag;
-  EXPECT_EQ(mc.tag_stats().at(tag).messages, msgs) << "tag " << tag;
-  EXPECT_EQ(mc.tag_stats().at(tag).words, words) << "tag " << tag;
+  EXPECT_EQ(metrics.tag_messages(tag), msgs) << "tag " << tag;
+  EXPECT_EQ(metrics.tag_words(tag), words) << "tag " << tag;
 }
 
 // Every number below was recorded by running this exact workload on the
 // pre-arena simulator (per-vertex vector mailboxes, commit 85a25a5). The
-// arena rewrite must reproduce RunStats and every trace aggregate exactly —
-// and so must any net options (num_threads included) layered on top.
+// arena rewrite must reproduce RunStats and every metrics aggregate exactly
+// — and so must any net options (num_threads included) layered on top.
 void run_parity_workload(NetworkOptions net) {
   graph::Rng rng(77);
   const Graph g = graph::random_maximal_planar(64, rng);
@@ -880,8 +878,8 @@ void run_parity_workload(NetworkOptions net) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     cluster[v] = v % 3 == 0 ? 0 : 1;
   }
-  MetricsCollector mc;
-  net.trace = &mc;
+  MetricsRegistry metrics;
+  net.metrics = &metrics;
 
   const auto leaders = elect_cluster_leaders(g, cluster, net);
   expect_stats(leaders.stats, 4, 542, 1084, 1);
@@ -926,22 +924,22 @@ void run_parity_workload(NetworkOptions net) {
   const auto dc = check_cluster_diameter(g, cluster, 8, net);
   expect_stats(dc.stats, 27, 6966, 6966, 1);
 
-  expect_stats(mc.totals(), 188, 8971, 10797, 2);
-  EXPECT_EQ(mc.runs_observed(), 8);
-  EXPECT_EQ(mc.rounds().size(), 188u);
+  expect_stats(metrics.totals(), 188, 8971, 10797, 2);
+  EXPECT_EQ(metrics.runs_observed(), 8);
+  EXPECT_EQ(metrics.round_messages_histogram().count(), 188);
 
-  expect_tag(mc, kTagElection, 542, 1084);
-  expect_tag(mc, kTagBfs, 258, 258);
-  expect_tag(mc, kTagOrientation, 181, 181);
-  expect_tag(mc, kTagWalkToken, 575, 1725);
-  expect_tag(mc, kTagBroadcast, 258, 258);
-  expect_tag(mc, kTagConvergecast, 114, 171);
-  expect_tag(mc, kTagDiameter, 6966, 6966);
-  expect_tag(mc, kTagTreeToken, 77, 154);
+  expect_tag(metrics, kTagElection, 542, 1084);
+  expect_tag(metrics, kTagBfs, 258, 258);
+  expect_tag(metrics, kTagOrientation, 181, 181);
+  expect_tag(metrics, kTagWalkToken, 575, 1725);
+  expect_tag(metrics, kTagBroadcast, 258, 258);
+  expect_tag(metrics, kTagConvergecast, 114, 171);
+  expect_tag(metrics, kTagDiameter, 6966, 6966);
+  expect_tag(metrics, kTagTreeToken, 77, 154);
 
   std::int64_t edge_messages = 0;
   int peak = 0;
-  const auto edges = mc.top_edges(-1);
+  const auto edges = metrics.top_edges(-1);
   for (const auto& e : edges) {
     edge_messages += e.messages;
     peak = std::max(peak, e.peak_load);
@@ -955,11 +953,9 @@ TEST(SubstrateParity, TraceAndStatsMatchPreArenaRecording) {
   run_parity_workload({});
 }
 
-// The event-stream TraceSink used to be serial-only; sharded trace lanes
-// (DESIGN.md §18) made it thread-count-invariant. The pre-arena parity
-// recording must hold — every aggregate, byte for byte in the exporters —
-// at every worker count, because lanes replay in the same sorted
-// (sender-slot, receiver-port) order the serial loop delivers in.
+// The pre-arena parity recording must hold — every aggregate — at every
+// worker count: per-shard metrics rows reduce at the round barrier in a
+// fixed order, so the registry sees the serial run's traffic exactly.
 TEST(SubstrateParity, TraceMatchesPreArenaRecordingAtEveryThreadCount) {
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

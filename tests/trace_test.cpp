@@ -1,13 +1,19 @@
-// The observability layer (src/congest/trace.h): reconciliation of trace
-// totals against RunStats and the RoundLedger, span nesting, exporters,
-// and enriched congestion errors. See DESIGN.md §9.
+// The observability layer: the TraceSink event stream and its one sink,
+// FlightRecorder (src/congest/trace.h), reconciled against RunStats; the
+// MetricsRegistry "phase:*" table (src/congest/metrics.h) reconciled
+// against the RoundLedger; and enriched congestion errors. See DESIGN.md
+// §9 and §18.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/congest/metrics.h"
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
 #include "src/congest/trace.h"
@@ -24,6 +30,49 @@ using graph::VertexId;
 
 std::vector<int> single_cluster(const Graph& g) {
   return std::vector<int>(g.num_vertices(), 0);
+}
+
+// A flight recorder whose ring holds every event of the small runs below:
+// no round trimming, and a capacity the tests check was never reached
+// (events_dropped() == 0), so its dump is the complete event stream.
+FlightRecorder whole_run_recorder() {
+  FlightRecorder::Options o;
+  o.ring_capacity = 1 << 18;
+  o.keep_rounds = std::numeric_limits<int>::max();
+  return FlightRecorder(o);
+}
+
+std::string dump_of(const FlightRecorder& fr) {
+  std::ostringstream os;
+  fr.dump_jsonl(os);
+  return os.str();
+}
+
+// The dump's event lines (the "flight" meta line dropped), parsed.
+std::vector<jsonmin::Value> events_of(const FlightRecorder& fr) {
+  std::istringstream lines(dump_of(fr));
+  std::string line;
+  std::getline(lines, line);  // meta
+  std::vector<jsonmin::Value> out;
+  while (std::getline(lines, line)) out.push_back(jsonmin::parse(line));
+  return out;
+}
+
+std::int64_t field(const jsonmin::Value& e, const char* key) {
+  return static_cast<std::int64_t>(e.at(key).number);
+}
+
+// Sums of the stream's per-edge loads: the run totals as the trace saw them.
+RunStats edge_load_totals(const std::vector<jsonmin::Value>& events) {
+  RunStats s;
+  for (const jsonmin::Value& e : events) {
+    if (e.at("type").string != "edge_load") continue;
+    s.messages_sent += field(e, "messages");
+    s.words_sent += field(e, "words");
+    s.max_edge_load =
+        std::max(s.max_edge_load, static_cast<int>(field(e, "messages")));
+  }
+  return s;
 }
 
 // Runs a deterministic walk gather; optionally observed by `sink`.
@@ -44,8 +93,8 @@ TEST(Trace, NullSinkLeavesBehaviourUnchanged) {
   Rng rng(11);
   Graph g = graph::random_maximal_planar(50, rng);
   const auto plain = run_gather(g, nullptr);
-  MetricsCollector collector;
-  const auto traced = run_gather(g, &collector);
+  FlightRecorder recorder = whole_run_recorder();
+  const auto traced = run_gather(g, &recorder);
   // Identical seeds, identical schedule: the sink must observe, not perturb.
   EXPECT_EQ(plain.stats.rounds, traced.stats.rounds);
   EXPECT_EQ(plain.stats.messages_sent, traced.stats.messages_sent);
@@ -59,299 +108,184 @@ TEST(Trace, NullSinkLeavesBehaviourUnchanged) {
 TEST(Trace, TotalsReconcileExactlyWithRunStats) {
   Rng rng(13);
   Graph g = graph::random_maximal_planar(60, rng);
-  MetricsCollector collector;
-  const auto r = run_gather(g, &collector);
+  FlightRecorder recorder = whole_run_recorder();
+  const auto r = run_gather(g, &recorder);
   ASSERT_TRUE(r.complete);
-  const RunStats totals = collector.totals();
-  EXPECT_EQ(totals.rounds, r.stats.rounds);
+  ASSERT_EQ(recorder.events_dropped(), 0);
+  const auto events = events_of(recorder);
+  const RunStats totals = edge_load_totals(events);
+  EXPECT_EQ(recorder.last_round() + 1, r.stats.rounds);
   EXPECT_EQ(totals.messages_sent, r.stats.messages_sent);
   EXPECT_EQ(totals.words_sent, r.stats.words_sent);
   EXPECT_EQ(totals.max_edge_load, r.stats.max_edge_load);
+  // The closing run_end event carries the same RunStats.
+  const jsonmin::Value& end = events.back();
+  ASSERT_EQ(end.at("type").string, "run_end");
+  EXPECT_EQ(field(end, "rounds"), r.stats.rounds);
+  EXPECT_EQ(field(end, "messages"), r.stats.messages_sent);
+  EXPECT_EQ(field(end, "words"), r.stats.words_sent);
 }
 
 TEST(Trace, TagTrafficSumsToTotalMessages) {
   Rng rng(17);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  run_gather(g, &collector);
+  FlightRecorder recorder = whole_run_recorder();
+  const auto r = run_gather(g, &recorder);
+  ASSERT_EQ(recorder.events_dropped(), 0);
+  std::map<std::string, std::int64_t> tag_messages;
   std::int64_t tagged_messages = 0, tagged_words = 0;
-  for (const auto& [tag, stats] : collector.tag_stats()) {
-    tagged_messages += stats.messages;
-    tagged_words += stats.words;
+  for (const jsonmin::Value& e : events_of(recorder)) {
+    if (e.at("type").string != "message") continue;
+    ++tag_messages[e.at("tag").string];
+    ++tagged_messages;
+    tagged_words += field(e, "words");
   }
-  EXPECT_EQ(tagged_messages, collector.totals().messages_sent);
-  EXPECT_EQ(tagged_words, collector.totals().words_sent);
+  EXPECT_EQ(tagged_messages, r.stats.messages_sent);
+  EXPECT_EQ(tagged_words, r.stats.words_sent);
   // The gather's traffic is walk tokens.
-  ASSERT_TRUE(collector.tag_stats().count(kTagWalkToken));
-  EXPECT_GT(collector.tag_stats().at(kTagWalkToken).messages, 0);
+  EXPECT_EQ(tag_messages["walk_token"], r.stats.messages_sent);
   EXPECT_STREQ(tag_name(kTagWalkToken), "walk_token");
 }
 
 TEST(Trace, PerRoundSamplesSumToTotals) {
   Rng rng(19);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  run_gather(g, &collector);
+  FlightRecorder recorder = whole_run_recorder();
+  const auto r = run_gather(g, &recorder);
+  ASSERT_EQ(recorder.events_dropped(), 0);
   std::int64_t messages = 0, words = 0;
-  for (const auto& s : collector.rounds()) {
-    messages += s.messages;
-    words += s.words;
+  std::vector<std::int64_t> rounds;
+  for (const jsonmin::Value& e : events_of(recorder)) {
+    if (e.at("type").string != "round") continue;
+    rounds.push_back(field(e, "round"));
+    messages += field(e, "messages");
+    words += field(e, "words");
   }
-  EXPECT_EQ(static_cast<std::int64_t>(collector.rounds().size()),
-            collector.totals().rounds);
-  EXPECT_EQ(messages, collector.totals().messages_sent);
-  EXPECT_EQ(words, collector.totals().words_sent);
-  // Global round numbering is strictly increasing across runs.
-  for (std::size_t i = 1; i < collector.rounds().size(); ++i) {
-    EXPECT_EQ(collector.rounds()[i].round, collector.rounds()[i - 1].round + 1);
+  EXPECT_EQ(static_cast<std::int64_t>(rounds.size()), r.stats.rounds);
+  EXPECT_EQ(messages, r.stats.messages_sent);
+  EXPECT_EQ(words, r.stats.words_sent);
+  // Global round numbering is strictly increasing.
+  for (std::size_t i = 1; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i], rounds[i - 1] + 1);
   }
 }
 
-TEST(Trace, SpansNestAndPrimitiveSpansSitInsidePhases) {
-  Graph g = graph::grid(8, 8);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  const auto p = core::partition_and_gather(g, 0.3, opt);
-  ASSERT_TRUE(p.gather_complete);
-
-  std::vector<std::string> phase_names;
-  bool saw_nested_primitive = false;
-  for (const auto& s : collector.spans()) {
-    EXPECT_TRUE(s.closed) << s.name;
-    if (s.depth == 0) phase_names.push_back(s.name);
-    if (s.depth == 1 &&
-        (s.name == "leader_election" || s.name == "walk_gather" ||
-         s.name == "orientation")) {
-      saw_nested_primitive = true;
-    }
-  }
-  EXPECT_EQ(phase_names,
-            (std::vector<std::string>{"phase:decomposition", "phase:election",
-                                      "phase:orientation", "phase:gather",
-                                      "phase:reconstruct"}));
-  EXPECT_TRUE(saw_nested_primitive);
-}
-
-// The ISSUE acceptance criterion: for a partition_and_gather run with a
-// MetricsCollector attached, per-span round counts sum to the ledger's
-// measured total and per-span message/word counts sum to RunStats.
+// The phase table: for a partition_and_gather run with a MetricsRegistry
+// attached, the top-level "phase:*" rows' rounds sum to the ledger's
+// measured total and their messages/words to the registry totals — in both
+// decomposition modes, so the measured distributed construction must show
+// up in phase:decomposition.
 TEST(Trace, PhaseSpansReconcileWithLedgerAndRunStats) {
   Rng rng(23);
   Graph g = graph::random_maximal_planar(120, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  const auto p = core::partition_and_gather(g, 0.3, opt);
-  ASSERT_TRUE(p.gather_complete);
+  for (const core::DecompositionMode mode :
+       {core::DecompositionMode::kModeled,
+        core::DecompositionMode::kDistributed}) {
+    const bool distributed = mode == core::DecompositionMode::kDistributed;
+    SCOPED_TRACE(distributed ? "distributed" : "modeled");
+    MetricsRegistry metrics;
+    core::FrameworkOptions opt;
+    opt.metrics = &metrics;
+    opt.decomposition_mode = mode;
+    const auto p = core::partition_and_gather(g, 0.3, opt);
+    ASSERT_TRUE(p.gather_complete);
 
-  std::int64_t span_rounds = 0, span_messages = 0, span_words = 0;
-  for (const auto& s : collector.spans()) {
-    if (s.depth != 0) continue;
-    span_rounds += s.rounds;
-    span_messages += s.messages;
-    span_words += s.words;
-  }
-  EXPECT_EQ(span_rounds, p.ledger.measured_total());
-  EXPECT_EQ(span_messages, collector.totals().messages_sent);
-  EXPECT_EQ(span_words, collector.totals().words_sent);
+    std::vector<std::string> names;
+    std::int64_t phase_rounds = 0, phase_messages = 0, phase_words = 0;
+    RunStats decomposition;
+    for (const PhaseMetrics& ph : metrics.phases()) {
+      EXPECT_TRUE(ph.closed) << ph.name;
+      if (ph.depth != 0) continue;
+      names.push_back(ph.name);
+      phase_rounds += ph.stats.rounds;
+      phase_messages += ph.stats.messages_sent;
+      phase_words += ph.stats.words_sent;
+      if (ph.name == "phase:decomposition") decomposition = ph.stats;
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "phase:decomposition", "phase:election",
+                         "phase:orientation", "phase:gather",
+                         "phase:reconstruct"}));
+    EXPECT_EQ(phase_rounds, p.ledger.measured_total());
+    EXPECT_EQ(phase_messages, metrics.totals().messages_sent);
+    EXPECT_EQ(phase_words, metrics.totals().words_sent);
+    if (distributed) {
+      EXPECT_GT(decomposition.rounds, 0);
+      EXPECT_GT(decomposition.messages_sent, 0);
+    } else {
+      EXPECT_EQ(decomposition.rounds, 0);
+    }
 
-  // Ledger entries carry the per-phase traffic recorded by the trace layer,
-  // and their sums agree with the collector's grand totals.
-  std::int64_t ledger_messages = 0, ledger_words = 0;
-  int ledger_max_load = 0;
-  for (const auto& e : p.ledger.entries()) {
-    if (!e.measured) continue;
-    ledger_messages += e.stats.messages_sent;
-    ledger_words += e.stats.words_sent;
-    ledger_max_load = std::max(ledger_max_load, e.stats.max_edge_load);
+    // The ledger's per-phase traffic agrees with the registry. The
+    // distributed decomposition's entry carries rounds only, so its
+    // traffic comes from its phase row.
+    std::int64_t ledger_messages = decomposition.messages_sent;
+    std::int64_t ledger_words = decomposition.words_sent;
+    int ledger_max_load = decomposition.max_edge_load;
+    for (const auto& e : p.ledger.entries()) {
+      if (!e.measured) continue;
+      ledger_messages += e.stats.messages_sent;
+      ledger_words += e.stats.words_sent;
+      ledger_max_load = std::max(ledger_max_load, e.stats.max_edge_load);
+    }
+    EXPECT_EQ(ledger_messages, metrics.totals().messages_sent);
+    EXPECT_EQ(ledger_words, metrics.totals().words_sent);
+    EXPECT_EQ(ledger_max_load, metrics.totals().max_edge_load);
   }
-  EXPECT_EQ(ledger_messages, collector.totals().messages_sent);
-  EXPECT_EQ(ledger_words, collector.totals().words_sent);
-  EXPECT_EQ(ledger_max_load, collector.totals().max_edge_load);
 }
 
-// Minimal structure-aware JSON checker: balanced {} and [] outside strings,
-// valid escapes, and nothing after the top-level value.
-bool json_balanced(const std::string& text) {
-  int depth = 0;
-  bool in_string = false, escaped = false, seen_value = false;
-  for (char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': case '[': ++depth; seen_value = true; break;
-      case '}': case ']':
-        if (--depth < 0) return false;
-        break;
-      default: break;
-    }
-    if (seen_value && depth == 0 && !std::isspace(static_cast<unsigned char>(c)) &&
-        c != '}' && c != ']') {
-      return false;
-    }
-  }
-  return depth == 0 && !in_string && seen_value;
-}
-
+// Every line of a flight dump is one JSON object: the "flight" meta line,
+// then the run's events.
 TEST(Trace, JsonlExportIsParseablePerLine) {
   Rng rng(29);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
+  FlightRecorder recorder = whole_run_recorder();
   core::FrameworkOptions opt;
-  opt.trace = &collector;
+  opt.trace = &recorder;
   core::partition_and_gather(g, 0.3, opt);
+  ASSERT_EQ(recorder.events_dropped(), 0);
 
-  std::ostringstream os;
-  export_jsonl(collector, os);
-  std::istringstream lines(os.str());
+  std::istringstream lines(dump_of(recorder));
   std::string line;
   int count = 0;
-  bool saw_meta = false, saw_span = false, saw_tag = false, saw_edge = false;
+  std::map<std::string, int> types;
   while (std::getline(lines, line)) {
-    ASSERT_TRUE(json_balanced(line)) << line;
+    const jsonmin::Value v = jsonmin::parse(line);
+    ASSERT_TRUE(v.is_object()) << line;
+    ++types[v.at("type").string];
     ++count;
-    saw_meta |= line.find("\"type\":\"meta\"") != std::string::npos;
-    saw_span |= line.find("\"type\":\"span\"") != std::string::npos;
-    saw_tag |= line.find("\"type\":\"tag\"") != std::string::npos;
-    saw_edge |= line.find("\"type\":\"edge\"") != std::string::npos;
   }
   EXPECT_GT(count, 10);
-  EXPECT_TRUE(saw_meta);
-  EXPECT_TRUE(saw_span);
-  EXPECT_TRUE(saw_tag);
-  EXPECT_TRUE(saw_edge);
-}
-
-TEST(Trace, ChromeTraceExportIsParseable) {
-  Rng rng(31);
-  Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
-
-  std::ostringstream os;
-  export_chrome_trace(collector, os);
-  const std::string text = os.str();
-  EXPECT_TRUE(json_balanced(text));
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);  // spans
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);  // counters
-  EXPECT_NE(text.find("phase:gather"), std::string::npos);
-}
-
-TEST(Trace, HotspotReportNamesCongestedEdgesAndPercentiles) {
-  Rng rng(37);
-  Graph g = graph::random_maximal_planar(60, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
-
-  const std::string report = hotspot_report(collector, 5);
-  EXPECT_NE(report.find("top congested directed edges"), std::string::npos);
-  EXPECT_NE(report.find("p50="), std::string::npos);
-  EXPECT_NE(report.find("p99="), std::string::npos);
-  EXPECT_NE(report.find("phase:gather"), std::string::npos);
-  // Percentiles are sane: p50 <= p99 <= peak load.
-  EXPECT_LE(collector.load_percentile(50), collector.load_percentile(99));
-  EXPECT_LE(collector.load_percentile(99),
-            static_cast<double>(collector.totals().max_edge_load));
-  EXPECT_GE(collector.load_percentile(50), 1.0);  // only loaded edges sampled
-  // Top-k really is bounded and sorted.
-  const auto top = collector.top_edges(3);
-  ASSERT_LE(top.size(), 3u);
-  for (std::size_t i = 1; i < top.size(); ++i) {
-    EXPECT_GE(top[i - 1].messages, top[i].messages);
+  EXPECT_EQ(types["flight"], 1);
+  for (const char* type :
+       {"run_begin", "round", "message", "edge_load", "run_end"}) {
+    EXPECT_GT(types[type], 0) << type;
   }
 }
 
-// Golden-structure check: the Chrome trace must be a real JSON document
-// whose traceEvents array contains exactly one complete ("X") event per
-// recorded span, each with a positive duration, plus two counter ("C")
-// tracks per round sample. Parsed with the strict tools/ JSON parser, not
-// just brace-balanced.
-TEST(Trace, ChromeTraceGoldenStructure) {
-  Rng rng(41);
-  Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
-
-  std::ostringstream os;
-  export_chrome_trace(collector, os);
-  const jsonmin::Value doc = jsonmin::parse(os.str());
-  ASSERT_TRUE(doc.is_object());
-  const jsonmin::Value& events = doc.at("traceEvents");
-  ASSERT_TRUE(events.is_array());
-
-  std::size_t complete_events = 0, counter_events = 0;
-  for (const jsonmin::Value& ev : events.items) {
-    ASSERT_TRUE(ev.is_object());
-    const std::string& ph = ev.at("ph").string;
-    EXPECT_FALSE(ev.at("name").string.empty());
-    EXPECT_GE(ev.at("ts").number, 0.0);
-    if (ph == "X") {
-      ++complete_events;
-      // Zero-round spans are widened to dur 1 so they stay visible.
-      EXPECT_GE(ev.at("dur").number, 1.0);
-      const jsonmin::Value& args = ev.at("args");
-      EXPECT_NE(args.find("rounds"), nullptr);
-      EXPECT_NE(args.find("messages"), nullptr);
-      EXPECT_NE(args.find("max_edge_load"), nullptr);
-    } else if (ph == "C") {
-      ++counter_events;
-    } else {
-      EXPECT_EQ(ph, "i");  // violation instants are the only other kind
-    }
-  }
-  EXPECT_EQ(complete_events, collector.spans().size());
-  EXPECT_EQ(counter_events, 2 * collector.rounds().size());
-  // Every span the collector recorded appears by name.
-  for (const SpanStats& s : collector.spans()) {
-    EXPECT_NE(os.str().find("\"name\":\"" + s.name + "\""),
-              std::string::npos)
-        << s.name;
-  }
-}
-
-// Feeds the collector synthetic traffic directly through the TraceSink
-// interface so edge totals tie exactly, then pins the documented
-// tie-break: equal-message edges order by (from, to) ascending — both in
-// top_edges() and in the hotspot report text.
+// Registry edges tie-break stably: equal-message edges order by (from, to)
+// ascending, so the congested-edge list `ecd_cli run --trace` prints is
+// deterministic. Fed synthetic traffic directly so edge totals tie exactly.
 TEST(Trace, HotspotTopKTieOrderingIsStable) {
-  MetricsCollector collector;
-  NetworkOptions net;
-  collector.on_run_begin(8, 8, net);
+  MetricsRegistry metrics;
+  metrics.begin_run(8, 8);
   // Four directed edges, all with 3 messages / 6 words, fed in an order
   // deliberately different from the expected output order.
   const std::pair<VertexId, VertexId> edges[] = {
       {5, 1}, {2, 7}, {2, 3}, {0, 4}};
   for (int round = 0; round < 3; ++round) {
     for (const auto& [from, to] : edges) {
-      collector.on_edge_load(round, from, to, 1, 2);
+      metrics.record_edge(from, to, 1, 2, 1);
     }
-    collector.on_round_end(round, 4, 8, 1);
   }
   RunStats stats;
   stats.rounds = 3;
   stats.messages_sent = 12;
   stats.words_sent = 24;
   stats.max_edge_load = 1;
-  collector.on_run_end(stats);
+  metrics.end_run(stats, 0);
 
-  const auto top = collector.top_edges(3);  // k smaller than edge count
+  const auto top = metrics.top_edges(3);  // k smaller than edge count
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].from, 0);
   EXPECT_EQ(top[0].to, 4);
@@ -359,23 +293,11 @@ TEST(Trace, HotspotTopKTieOrderingIsStable) {
   EXPECT_EQ(top[1].to, 3);
   EXPECT_EQ(top[2].from, 2);
   EXPECT_EQ(top[2].to, 7);
-  for (const EdgeTraffic& e : top) {
+  for (const EdgeLoadStats& e : top) {
     EXPECT_EQ(e.messages, 3);
     EXPECT_EQ(e.words, 6);
     EXPECT_EQ(e.peak_load, 1);
   }
-
-  // The rendered report lists the same edges in the same stable order.
-  const std::string report = hotspot_report(collector, 3);
-  const auto pos_04 = report.find("0->4");
-  const auto pos_23 = report.find("2->3");
-  const auto pos_27 = report.find("2->7");
-  ASSERT_NE(pos_04, std::string::npos);
-  ASSERT_NE(pos_23, std::string::npos);
-  ASSERT_NE(pos_27, std::string::npos);
-  EXPECT_EQ(report.find("5->1"), std::string::npos);  // cut by k=3
-  EXPECT_LT(pos_04, pos_23);
-  EXPECT_LT(pos_23, pos_27);
 }
 
 class DoubleSendAlgo final : public VertexAlgorithm {
@@ -396,9 +318,9 @@ TEST(Trace, CongestionErrorCarriesRoundEdgeAndBudget) {
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.push_back(std::make_unique<DoubleSendAlgo>());
   algos.push_back(std::make_unique<DoubleSendAlgo>());
-  MetricsCollector collector;
+  FlightRecorder recorder;
   NetworkOptions opt;
-  opt.trace = &collector;
+  opt.trace = &recorder;
   Network net(g, opt);
   try {
     net.run(algos);
@@ -416,9 +338,17 @@ TEST(Trace, CongestionErrorCarriesRoundEdgeAndBudget) {
     EXPECT_NE(what.find("budget 1"), std::string::npos) << what;
   }
   // The sink saw the violation before the throw.
-  ASSERT_EQ(collector.violations().size(), 1u);
-  EXPECT_EQ(collector.violations()[0].used, 2);
-  EXPECT_EQ(collector.violations()[0].budget, 1);
+  int violations = 0;
+  for (const jsonmin::Value& e : events_of(recorder)) {
+    if (e.at("type").string != "violation") continue;
+    ++violations;
+    EXPECT_EQ(field(e, "round"), 0);
+    EXPECT_EQ(field(e, "from"), 0);
+    EXPECT_EQ(field(e, "to"), 1);
+    EXPECT_EQ(field(e, "used"), 2);
+    EXPECT_EQ(field(e, "budget"), 1);
+  }
+  EXPECT_EQ(violations, 1);
 }
 
 class FatSendAlgo final : public VertexAlgorithm {
@@ -457,30 +387,17 @@ TEST(Trace, ViolationsExportedInJsonl) {
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.push_back(std::make_unique<DoubleSendAlgo>());
   algos.push_back(std::make_unique<DoubleSendAlgo>());
-  MetricsCollector collector;
+  FlightRecorder recorder;
   NetworkOptions opt;
-  opt.trace = &collector;
+  opt.trace = &recorder;
   Network net(g, opt);
   EXPECT_THROW(net.run(algos), CongestionError);
-  std::ostringstream os;
-  export_jsonl(collector, os);
-  EXPECT_NE(os.str().find("\"type\":\"violation\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"kind\":\"bandwidth\""), std::string::npos);
+  const std::string dump = dump_of(recorder);
+  EXPECT_NE(dump.find("\"type\":\"violation\""), std::string::npos);
+  EXPECT_NE(dump.find("\"kind\":\"bandwidth\""), std::string::npos);
 }
 
 // --- Sharded trace lanes (DESIGN.md §18) -------------------------------------
-
-std::string jsonl_of(const MetricsCollector& c) {
-  std::ostringstream os;
-  export_jsonl(c, os);
-  return os.str();
-}
-
-std::string chrome_of(const MetricsCollector& c) {
-  std::ostringstream os;
-  export_chrome_trace(c, os);
-  return os.str();
-}
 
 // run_gather with full NetworkOptions control (thread count, sampling,
 // faults) for the thread-invariance suites.
@@ -497,30 +414,29 @@ GatherResult run_gather_net(const Graph& g, NetworkOptions net) {
   return random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
 }
 
-// The tentpole acceptance criterion: per-shard trace lanes merged in fixed
-// shard-then-trace order at the round barrier make the event stream — and
-// therefore both exporters, byte for byte — independent of the thread
-// count. sparse_serial_threshold 0 forces real dispatched rounds (the
-// 90-vertex graph would otherwise ride the serial fallback throughout).
+// Per-shard trace lanes merged in fixed shard-then-trace order at the
+// round barrier make the event stream — and therefore the flight dump,
+// byte for byte — independent of the thread count.
+// sparse_serial_threshold 0 forces real dispatched rounds (the 90-vertex
+// graph would otherwise ride the serial fallback throughout).
 TEST(ShardedTrace, ExportsAreByteIdenticalAcrossThreadCounts) {
   Rng rng(43);
   const Graph g = graph::random_maximal_planar(90, rng);
-  MetricsCollector serial;
+  FlightRecorder serial = whole_run_recorder();
   NetworkOptions ref;
   ref.trace = &serial;
   ASSERT_TRUE(run_gather_net(g, ref).complete);
-  const std::string ref_jsonl = jsonl_of(serial);
-  const std::string ref_chrome = chrome_of(serial);
+  ASSERT_EQ(serial.events_dropped(), 0);
+  const std::string ref_dump = dump_of(serial);
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    MetricsCollector mc;
+    FlightRecorder recorder = whole_run_recorder();
     NetworkOptions net;
-    net.trace = &mc;
+    net.trace = &recorder;
     net.num_threads = threads;
     net.sparse_serial_threshold = 0;
     ASSERT_TRUE(run_gather_net(g, net).complete);
-    EXPECT_EQ(jsonl_of(mc), ref_jsonl);
-    EXPECT_EQ(chrome_of(mc), ref_chrome);
+    EXPECT_EQ(dump_of(recorder), ref_dump);
   }
 }
 
@@ -561,9 +477,9 @@ std::vector<std::unique_ptr<VertexAlgorithm>> make_chatter(const Graph& g,
 TEST(ShardedTrace, FaultedAndChurnedExportsAreThreadCountInvariant) {
   const Graph g = graph::grid(8, 8);
   const auto run_traced = [&](int threads) {
-    MetricsCollector mc;
+    FlightRecorder recorder = whole_run_recorder();
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     opt.faults.seed = 0xabcdULL;
@@ -575,7 +491,8 @@ TEST(ShardedTrace, FaultedAndChurnedExportsAreThreadCountInvariant) {
     Network net(g, opt);
     auto algos = make_chatter(g, 10);
     net.run(algos);
-    return jsonl_of(mc);
+    EXPECT_EQ(recorder.events_dropped(), 0);
+    return dump_of(recorder);
   };
   const std::string ref = run_traced(1);
   EXPECT_NE(ref.find("\"type\":\"churn\""), std::string::npos);
@@ -588,13 +505,13 @@ TEST(ShardedTrace, FaultedAndChurnedExportsAreThreadCountInvariant) {
 // A violated parallel run must report the same violation the serial run
 // reports: the lowest shard's first violation — which is the globally
 // first violating vertex, because shard 0 owns vertex 0 and scans its
-// members in order. The whole export ties, not just the violation line.
+// members in order. The whole dump ties, not just the violation line.
 TEST(ShardedTrace, ViolationReportMatchesSerialAcrossThreadCounts) {
   const Graph g = graph::grid(4, 4);
   const auto run_violated = [&](int threads) {
-    MetricsCollector mc;
+    FlightRecorder recorder = whole_run_recorder();
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     Network net(g, opt);
@@ -603,8 +520,12 @@ TEST(ShardedTrace, ViolationReportMatchesSerialAcrossThreadCounts) {
       algos.push_back(std::make_unique<DoubleSendAlgo>());
     }
     EXPECT_THROW(net.run(algos), CongestionError);
-    EXPECT_EQ(mc.violations().size(), 1u);
-    return jsonl_of(mc);
+    int violations = 0;
+    for (const jsonmin::Value& e : events_of(recorder)) {
+      violations += e.at("type").string == "violation";
+    }
+    EXPECT_EQ(violations, 1);
+    return dump_of(recorder);
   };
   const std::string ref = run_violated(1);
   EXPECT_NE(ref.find("\"type\":\"violation\""), std::string::npos);
@@ -622,9 +543,9 @@ TEST(ShardedTrace, ViolationReportMatchesSerialAcrossThreadCounts) {
 TEST(TraceSampling, FiltersAreDeterministicAndThreadInvariant) {
   const Graph g = graph::grid(8, 8);
   const auto run_sampled = [&](int threads) {
-    MetricsCollector mc;
+    FlightRecorder recorder = whole_run_recorder();
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     opt.trace_config.round_period = 2;
@@ -632,7 +553,7 @@ TEST(TraceSampling, FiltersAreDeterministicAndThreadInvariant) {
     Network net(g, opt);
     auto algos = make_chatter(g, 9);
     net.run(algos);
-    return jsonl_of(mc);
+    return dump_of(recorder);
   };
   const std::string ref = run_sampled(1);
   for (int threads : {4, 8}) {
@@ -641,43 +562,56 @@ TEST(TraceSampling, FiltersAreDeterministicAndThreadInvariant) {
   }
 
   // Golden subset shape: only even rounds sampled, only even receivers.
-  MetricsCollector mc;
+  FlightRecorder recorder = whole_run_recorder();
   NetworkOptions opt;
-  opt.trace = &mc;
+  opt.trace = &recorder;
   opt.trace_config.round_period = 2;
   opt.trace_config.vertex_stride = 2;
   Network net(g, opt);
   auto algos = make_chatter(g, 9);
   const RunStats stats = net.run(algos);
-  ASSERT_GT(mc.rounds().size(), 0u);
-  for (const RoundSample& r : mc.rounds()) {
-    EXPECT_EQ(r.round % 2, 0) << "unsampled round leaked";
+  ASSERT_EQ(recorder.events_dropped(), 0);
+  const auto events = events_of(recorder);
+  std::int64_t sampled_rounds = 0, edge_loads = 0;
+  for (const jsonmin::Value& e : events) {
+    const std::string& type = e.at("type").string;
+    if (type == "round") {
+      ++sampled_rounds;
+      EXPECT_EQ(field(e, "round") % 2, 0) << "unsampled round leaked";
+    } else if (type == "edge_load") {
+      ++edge_loads;
+      EXPECT_EQ(field(e, "round") % 2, 0) << "unsampled round leaked";
+      EXPECT_EQ(field(e, "to") % 2, 0) << "unsampled receiver leaked";
+    }
   }
-  EXPECT_LT(static_cast<std::int64_t>(mc.rounds().size()), stats.rounds);
-  const auto edges = mc.top_edges(-1);
-  ASSERT_GT(edges.size(), 0u);
-  for (const EdgeTraffic& e : edges) {
-    EXPECT_EQ(e.to % 2, 0) << "unsampled receiver leaked";
-  }
-  // Sampled-out events are filtered, not rerouted: the collector saw
+  ASSERT_GT(sampled_rounds, 0);
+  EXPECT_LT(sampled_rounds, stats.rounds);
+  ASSERT_GT(edge_loads, 0);
+  // Sampled-out events are filtered, not rerouted: the stream carries
   // strictly less than the run's true totals.
-  EXPECT_LT(mc.totals().messages_sent, stats.messages_sent);
+  EXPECT_LT(edge_load_totals(events).messages_sent, stats.messages_sent);
 }
 
 TEST(TraceSampling, TagFilterKeepsOnlyTheRequestedTag) {
   Rng rng(47);
   const Graph g = graph::random_maximal_planar(50, rng);
-  MetricsCollector mc;
+  FlightRecorder recorder = whole_run_recorder();
   NetworkOptions net;
-  net.trace = &mc;
+  net.trace = &recorder;
   net.trace_config.tag_filter = kTagWalkToken;
-  ASSERT_TRUE(run_gather_net(g, net).complete);
-  ASSERT_FALSE(mc.tag_stats().empty());
-  for (const auto& [tag, stats] : mc.tag_stats()) {
-    EXPECT_EQ(tag, kTagWalkToken);
+  const GatherResult r = run_gather_net(g, net);
+  ASSERT_TRUE(r.complete);
+  ASSERT_EQ(recorder.events_dropped(), 0);
+  const auto events = events_of(recorder);
+  int messages = 0;
+  for (const jsonmin::Value& e : events) {
+    if (e.at("type").string != "message") continue;
+    ++messages;
+    EXPECT_EQ(field(e, "id"), kTagWalkToken);
   }
+  EXPECT_GT(messages, 0);
   // Edge loads are tag-agnostic and stay complete.
-  EXPECT_GT(mc.totals().messages_sent, 0);
+  EXPECT_EQ(edge_load_totals(events).messages_sent, r.stats.messages_sent);
 }
 
 // --- FlightRecorder ----------------------------------------------------------
@@ -841,23 +775,6 @@ TEST(FlightRecorderTest, RecordsRunLifecycleAndStaysWithinCapacity) {
   std::ostringstream os;
   fr.dump_jsonl(os);
   EXPECT_NE(os.str().find("\"type\":\"run_end\""), std::string::npos);
-}
-
-TEST(Trace, SpanGuardToleratesNullSink) {
-  // TRACE_SPAN with a null sink must compile to a no-op.
-  TRACE_SPAN(nullptr, "nothing");
-  MetricsCollector collector;
-  {
-    TRACE_SPAN(&collector, "outer");
-    { TRACE_SPAN(&collector, "inner"); }
-  }
-  ASSERT_EQ(collector.spans().size(), 2u);
-  EXPECT_EQ(collector.spans()[0].name, "outer");
-  EXPECT_EQ(collector.spans()[0].depth, 0);
-  EXPECT_EQ(collector.spans()[1].name, "inner");
-  EXPECT_EQ(collector.spans()[1].depth, 1);
-  EXPECT_TRUE(collector.spans()[0].closed);
-  EXPECT_TRUE(collector.spans()[1].closed);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <random>
@@ -16,6 +17,67 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::kInvalidVertex;
 using graph::VertexId;
+
+// --- Loop-erased traces (DESIGN.md §21) -----------------------------------------
+
+// Positions are inserted in path order and erased newest first, so erasing
+// one restores the table the insertion found: linear probing needs no
+// tombstones. rebuild() re-inserts in path order, which keeps that true.
+void TracePathIndex::record_hop(TokenTrace& trace, VertexId to,
+                                std::int64_t round) {
+  std::vector<VertexId>& visited = trace.visited;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t k = visited.size();  // position of `to` on the path, if any
+  std::size_t free_slot = 0;
+  if (slots_.empty()) {
+    // A walk mostly steps back onto a recent vertex: scan newest first.
+    const auto it = std::find(visited.rbegin(), visited.rend(), to);
+    if (it != visited.rend()) k = static_cast<std::size_t>(visited.rend() - it) - 1;
+  } else {
+    std::size_t i = home(to);
+    while (slots_[i] >= 0 && visited[slots_[i]] != to) i = (i + 1) & mask;
+    if (slots_[i] >= 0) k = static_cast<std::size_t>(slots_[i]);
+    free_slot = i;
+  }
+  if (k < visited.size()) {  // `to` closes a loop: erase it
+    if (!slots_.empty()) {
+      for (std::size_t j = visited.size() - 1; j > k; --j) {
+        std::size_t i = home(visited[j]);
+        while (static_cast<std::size_t>(slots_[i]) != j) i = (i + 1) & mask;
+        slots_[i] = -1;
+      }
+    }
+    visited.resize(k + 1);
+    trace.hop_round.resize(k);
+    return;
+  }
+  visited.push_back(to);
+  trace.hop_round.push_back(round);
+  if (slots_.empty() ? visited.size() >= kScanLength
+                     : 2 * visited.size() > slots_.size()) {
+    rebuild(visited);
+  } else if (!slots_.empty()) {
+    slots_[free_slot] = static_cast<std::int32_t>(visited.size() - 1);
+  }
+}
+
+void TracePathIndex::clear() { std::vector<std::int32_t>().swap(slots_); }
+
+// The smallest power of two above twice the path: a rebuild leaves the load
+// at about 1/4, and the next comes when it would pass 1/2.
+void TracePathIndex::rebuild(const std::vector<VertexId>& visited) {
+  slots_.assign(std::bit_ceil(2 * visited.size() + 1), -1);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t k = 0; k < visited.size(); ++k) {
+    std::size_t i = home(visited[k]);
+    while (slots_[i] >= 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::int32_t>(k);
+  }
+}
+
+std::size_t TracePathIndex::home(VertexId v) const {
+  return graph::splitmix64(static_cast<std::uint64_t>(v)) & (slots_.size() - 1);
+}
 
 namespace {
 
@@ -252,11 +314,39 @@ class PeelAlgo final : public VertexAlgorithm {
 
 // --- Random-walk gather -----------------------------------------------------------
 
+// A gather's traces with one path index per token, both owned by the
+// gather call. Only the vertex holding a token records its hops, as in
+// the forward run itself, so walkers on different shards never write the
+// same entry.
+struct TraceBook {
+  std::vector<TokenTrace> traces;
+  std::vector<TracePathIndex> paths;
+
+  void add(VertexId origin, int cluster) {
+    TokenTrace& trace = traces.emplace_back();
+    trace.origin = origin;
+    trace.cluster = cluster;
+    trace.visited = {origin};
+    paths.emplace_back();
+  }
+  // Local bookkeeping for the reversed delivery (§2.2): which way the
+  // token went and when, loop-erased as it goes.
+  void record_hop(std::int64_t id, VertexId to, std::int64_t round) {
+    paths[id].record_hop(traces[id], to, round);
+  }
+  // The token restarts at its origin (a re-seed): its path goes with it.
+  void restart(std::int64_t id) {
+    traces[id].visited = {traces[id].origin};
+    traces[id].hop_round.clear();
+    paths[id].clear();
+  }
+};
+
 class WalkAlgo final : public VertexAlgorithm {
  public:
   WalkAlgo(const std::vector<int>* intra, bool is_leader,
            std::vector<WalkToken> initial_tokens, std::uint64_t seed,
-           int bandwidth, std::vector<TokenTrace>* traces)
+           int bandwidth, TraceBook* traces)
       : intra_(intra),
         is_leader_(is_leader),
         rng_(seed),
@@ -299,11 +389,7 @@ class WalkAlgo final : public VertexAlgorithm {
       }
       ++port_load_[i];
       sent_ = true;
-      // Local bookkeeping for the reversed delivery (§2.2): the trace
-      // records which way the token went and when.
-      TokenTrace& trace = (*traces_)[t.id];
-      trace.visited.push_back(ctx.neighbor((*intra_)[i]));
-      trace.hop_round.push_back(ctx.round());
+      traces_->record_hop(t.id, ctx.neighbor((*intra_)[i]), ctx.round());
       ctx.send((*intra_)[i], t.message(t.id));
     }
     held_.swap(keep_);
@@ -320,7 +406,7 @@ class WalkAlgo final : public VertexAlgorithm {
   bool is_leader_;
   std::mt19937_64 rng_;
   int bandwidth_;
-  std::vector<TokenTrace>* traces_;
+  TraceBook* traces_;
   bool started_ = false;
   bool sent_ = false;
   // Tokens to step this round, in arrival order; the ones that stay are
@@ -369,6 +455,73 @@ class FlatKeySet {
   std::size_t size_ = 0;
 };
 
+// Map from non-negative keys to values, by open addressing with linear
+// probing; erase shifts the probe run back instead of leaving tombstones.
+class FlatKeyMap {
+ public:
+  // Adds `key` (>= 0, not present) with `value`.
+  void insert(std::int64_t key, std::int64_t value) {
+    assert(key >= 0);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    std::size_t i = home(key);
+    while (slots_[i].key >= 0) i = next(i);
+    slots_[i] = Slot{key, value};
+    ++size_;
+  }
+
+  // The value stored for `key`, or nullptr.
+  std::int64_t* find(std::int64_t key) {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(key); slots_[i].key >= 0; i = next(i)) {
+      if (slots_[i].key == key) return &slots_[i].value;
+    }
+    return nullptr;
+  }
+
+  // Removes `key`, which must be present.
+  void erase(std::int64_t key) {
+    std::size_t hole = home(key);
+    while (slots_[hole].key != key) hole = next(hole);
+    // Move back every later entry of the run whose home does not lie
+    // cyclically in (hole, j]; it would be unreachable past the hole.
+    for (std::size_t j = next(hole); slots_[j].key >= 0; j = next(j)) {
+      const std::size_t h = home(slots_[j].key);
+      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (stays) continue;
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+    slots_[hole].key = -1;
+    --size_;
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    std::int64_t key = -1;  // -1 marks an empty slot
+    std::int64_t value = 0;
+  };
+
+  std::size_t home(std::int64_t key) const {
+    return graph::splitmix64(static_cast<std::uint64_t>(key)) &
+           (slots_.size() - 1);
+  }
+  std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key >= 0) insert(slot.key, slot.value);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
 // WalkAlgo hardened against message faults. Token hops carry a per-token
 // sequence number packed into the routing word (id | seq << 44 — token ids
 // stay well under 2^44 and a hop count under 2^19 keeps the word positive);
@@ -390,7 +543,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
                    const std::vector<int>* walk_index, bool is_leader,
                    std::vector<Token> initial, std::uint64_t seed,
                    int bandwidth, int timeout, std::int64_t deadline,
-                   std::int64_t base_round, std::vector<TokenTrace>* traces)
+                   std::int64_t base_round, TraceBook* traces)
       : intra_(intra),
         walk_index_(walk_index),
         is_leader_(is_leader),
@@ -462,7 +615,8 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     }
     if (is_leader_) return;
     for (Pending& u : unacked_) {
-      if (r - u.sent_round < timeout_ || load[u.port_index] >= bandwidth_) {
+      if (u.packed < 0 || r - u.sent_round < timeout_ ||
+          load[u.port_index] >= bandwidth_) {
         continue;
       }
       ++load[u.port_index];
@@ -496,10 +650,9 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       // The hop is recorded once, at first transmission; retransmissions
       // re-send the identical hop, so the trace stays a faithful record of
       // the path and reverse_delivery remains routable.
-      TokenTrace& trace = (*traces_)[t.id];
-      trace.visited.push_back(ctx.neighbor((*intra_)[i]));
-      trace.hop_round.push_back(base_round_ + r);
+      traces_->record_hop(t.id, ctx.neighbor((*intra_)[i]), base_round_ + r);
       ctx.send((*intra_)[i], t.message(packed));
+      unacked_slot_.insert(packed, static_cast<std::int64_t>(unacked_.size()));
       unacked_.push_back(Pending{packed, t, static_cast<int>(i), r});
     }
     held_.swap(keep_);
@@ -521,19 +674,29 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
 
  private:
   struct Pending {
-    std::int64_t packed = -1;
+    std::int64_t packed = -1;  // -1 once acked
     WalkToken token;
     int port_index = -1;
     std::int64_t sent_round = -1;
   };
 
+  // O(1) amortized: the ack marks its entry, and unacked_ is compacted in
+  // order once marked entries outnumber live ones, so retransmissions keep
+  // their send order.
   void clear_unacked(std::int64_t packed) {
-    for (auto it = unacked_.begin(); it != unacked_.end(); ++it) {
-      if (it->packed == packed) {
-        unacked_.erase(it);
-        return;
-      }
+    const std::int64_t* slot = unacked_slot_.find(packed);
+    if (slot == nullptr) return;  // a duplicate or stale ack
+    unacked_[*slot].packed = -1;
+    unacked_slot_.erase(packed);
+    const std::size_t live = unacked_slot_.size();
+    if (2 * live >= unacked_.size()) return;
+    std::size_t kept = 0;
+    for (Pending& u : unacked_) {
+      if (u.packed < 0) continue;
+      *unacked_slot_.find(u.packed) = static_cast<std::int64_t>(kept);
+      unacked_[kept++] = u;
     }
+    unacked_.resize(kept);
   }
 
   const std::vector<int>* intra_;
@@ -544,10 +707,11 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   int timeout_;
   std::int64_t deadline_;
   std::int64_t base_round_;
-  std::vector<TokenTrace>* traces_;
+  TraceBook* traces_;
   std::vector<std::vector<std::int64_t>> ack_queue_;  // per intra index
   FlatKeySet accepted_;  // (id, seq) hops taken here
-  std::vector<Pending> unacked_;
+  std::vector<Pending> unacked_;  // in send order
+  FlatKeyMap unacked_slot_;       // packed -> index of its live entry
   bool started_ = false;
   bool sent_ = false;
   bool gave_up_ = false;
@@ -864,7 +1028,9 @@ GatherResult random_walk_gather(const Graph& g,
   result.bandwidth = options.net.bandwidth_tokens;
   std::int64_t expected = 0;
   for (const auto& list : tokens) expected += static_cast<std::int64_t>(list.size());
-  result.traces.reserve(expected);
+  TraceBook book;
+  book.traces.reserve(expected);
+  book.paths.reserve(expected);
 
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<WalkAlgo*> typed(g.num_vertices());
@@ -873,22 +1039,19 @@ GatherResult random_walk_gather(const Graph& g,
     initial.reserve(tokens[v].size());
     for (const GatherToken& t : tokens[v]) {
       initial.push_back(
-          make_token(static_cast<std::int64_t>(result.traces.size()), t));
-      TokenTrace trace;
-      trace.origin = v;
-      trace.cluster = cluster_of[v];
-      trace.visited = {v};
-      result.traces.push_back(std::move(trace));
+          make_token(static_cast<std::int64_t>(book.traces.size()), t));
+      book.add(v, cluster_of[v]);
     }
     auto a = std::make_unique<WalkAlgo>(
         &intra[v], leader_of[v] == v, std::move(initial),
         options.seed ^ (0x9e3779b97f4a7c15ULL * (v + 1)),
-        options.net.bandwidth_tokens, &result.traces);
+        options.net.bandwidth_tokens, &book);
     typed[v] = a.get();
     algos.push_back(std::move(a));
   }
   Network network(g, options.net);
   result.stats = network.run(algos);
+  result.traces = std::move(book.traces);
   int num_clusters = 0;
   for (int c : cluster_of) num_clusters = std::max(num_clusters, c + 1);
   result.delivered.resize(num_clusters);
@@ -929,6 +1092,7 @@ ReliableGatherResult reliable_walk_gather(
   ReliableGatherResult result;
   GatherResult& gather = result.gather;
   gather.bandwidth = options.net.bandwidth_tokens;
+  TraceBook book;
 
   // Host-side token table: the authoritative record of where every token
   // is. Tokens in flight or stranded when an epoch ends are re-seeded at
@@ -945,11 +1109,7 @@ ReliableGatherResult reliable_walk_gather(
       ts.origin = v;
       ts.payload = t.payload;
       toks.push_back(std::move(ts));
-      TokenTrace trace;
-      trace.origin = v;
-      trace.cluster = cluster_of[v];
-      trace.visited = {v};
-      gather.traces.push_back(std::move(trace));
+      book.add(v, cluster_of[v]);
     }
   }
 
@@ -991,8 +1151,7 @@ ReliableGatherResult reliable_walk_gather(
           // whose origin itself crash-stopped is orphaned instead — no live
           // vertex is responsible for re-introducing it, so it drops out of
           // the completeness contract rather than wedging it.
-          gather.traces[id].visited = {ts.origin};
-          gather.traces[id].hop_round.clear();
+          book.restart(static_cast<std::int64_t>(id));
         }
       }
     }
@@ -1079,7 +1238,7 @@ ReliableGatherResult reliable_walk_gather(
           graph::splitmix64(graph::splitmix64(options.seed + epoch) ^
                             (0x9e3779b97f4a7c15ULL * (v + 1))),
           options.net.bandwidth_tokens, timeout, options.epoch_rounds,
-          base_round, &gather.traces);
+          base_round, &book);
       typed[v] = a.get();
       algos.push_back(std::move(a));
     }
@@ -1119,6 +1278,7 @@ ReliableGatherResult reliable_walk_gather(
     }
   }
 
+  gather.traces = std::move(book.traces);
   int num_clusters = 0;
   for (int c : cluster_of) num_clusters = std::max(num_clusters, c + 1);
   gather.delivered.resize(num_clusters);

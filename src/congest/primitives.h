@@ -72,15 +72,42 @@ struct GatherOptions {
   std::uint64_t seed = 1;
 };
 
-// Forward walk of one token: the visited vertices (origin first) and, per
-// hop, the round it happened. Kept as *local bookkeeping*: every vertex on
-// the path remembers which way it forwarded the token, which is what makes
-// the reversed delivery below routable — no path ever travels in a message.
+// Chronological loop erasure of one token's forward walk: a simple path
+// from the origin to the leader (origin first) and, per hop, the round it
+// happened (DESIGN.md §21). Each surviving hop is a real forward hop at its
+// real round, so the rounds strictly increase and the path is what the
+// reversed delivery replays. Kept as *local bookkeeping*: every vertex on
+// the path remembers which way it last forwarded the token, which is what
+// makes the reversed delivery below routable — no path ever travels in a
+// message.
 struct TokenTrace {
   graph::VertexId origin = graph::kInvalidVertex;
   int cluster = -1;
-  std::vector<graph::VertexId> visited;  // origin ... leader
+  std::vector<graph::VertexId> visited;  // origin ... leader, no repeats
   std::vector<std::int64_t> hop_round;   // round of each hop (size-1 entries)
+};
+
+// Position of each vertex on a TokenTrace's path, so that recording a hop
+// costs O(1) amortized: a hop back onto the path erases the loop it closes.
+// A path shorter than kScanLength is scanned; once one reaches it, an
+// open-addressing table of positions into `visited` takes over. Its memory
+// is O(the longest path the token has held), never O(walk length). clear()
+// drops the table when the trace is reset.
+class TracePathIndex {
+ public:
+  // Records the token's hop to `to` at `round`. If `to` is on the path at
+  // position k, the loop is erased: `visited` keeps k+1 entries and
+  // `hop_round` k. Otherwise the hop is appended.
+  void record_hop(TokenTrace& trace, graph::VertexId to, std::int64_t round);
+  void clear();
+
+  static constexpr std::size_t kScanLength = 16;
+
+ private:
+  void rebuild(const std::vector<graph::VertexId>& visited);
+  std::size_t home(graph::VertexId v) const;
+
+  std::vector<std::int32_t> slots_;  // positions into visited; -1 is empty
 };
 
 struct GatherResult {

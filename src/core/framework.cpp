@@ -116,7 +116,7 @@ Partition partition_and_gather(const Graph& g, double eps,
           expander::distributed_expander_decompose(g, out.eps_effective, ddopt);
       out.decomposition = dd.decomposition;
       out.ledger.add_measured("expander decomposition (distributed sweep)",
-                              dd.measured_rounds);
+                              dd.stats);
     } else {
       out.decomposition =
           expander::expander_decompose(g, out.eps_effective, dopt);

@@ -143,7 +143,7 @@ int auto_iterations(int n, double phi, int requested) {
 
 struct LevelOutcome {
   bool any_split = false;
-  std::int64_t rounds = 0;
+  congest::RunStats stats;  // every Network run of the level, summed
 };
 
 // One level: all pieces in parallel run the cut-search protocol; pieces
@@ -172,15 +172,15 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
   }
   {
     congest::Network network(g, net);
-    outcome.rounds += network.run(algos).rounds;
+    outcome.stats += network.run(algos);
   }
 
   // Phase 3+4: per-piece leader and BFS tree.
   const auto election = congest::elect_cluster_leaders(g, piece_of, net);
-  outcome.rounds += election.stats.rounds;
+  outcome.stats += election.stats;
   const auto tree =
       congest::build_cluster_bfs_trees(g, piece_of, election.leader_of, net);
-  outcome.rounds += tree.stats.rounds;
+  outcome.stats += tree.stats;
 
   // Phase 5: per-piece score range (the power iteration concentrates
   // scores near their piece mean, so the histogram must be normalized per
@@ -194,11 +194,11 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
   const auto cc_min = congest::convergecast_fold(
       g, piece_of, election.leader_of, tree.parent, tree.depth, score_fixed,
       congest::Fold::kMin, net);
-  outcome.rounds += cc_min.stats.rounds;
+  outcome.stats += cc_min.stats;
   const auto cc_max = congest::convergecast_fold(
       g, piece_of, election.leader_of, tree.parent, tree.depth, score_fixed,
       congest::Fold::kMax, net);
-  outcome.rounds += cc_max.stats.rounds;
+  outcome.stats += cc_max.stats;
   std::vector<std::int64_t> leader_min(n, 0), leader_max(n, 0);
   for (VertexId v = 0; v < n; ++v) {
     if (election.leader_of[v] == v) {
@@ -208,10 +208,10 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
   }
   const auto bc_min = congest::broadcast_from_leaders(
       g, piece_of, election.leader_of, leader_min, net);
-  outcome.rounds += bc_min.stats.rounds;
+  outcome.stats += bc_min.stats;
   const auto bc_max = congest::broadcast_from_leaders(
       g, piece_of, election.leader_of, leader_max, net);
-  outcome.rounds += bc_max.stats.rounds;
+  outcome.stats += bc_max.stats;
   // Per-vertex bucket function over its piece's range.
   auto bucket_of = [&](VertexId v, double score) {
     const double lo = static_cast<double>(bc_min.value[v] - kBias) / kFixedPoint;
@@ -242,7 +242,7 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
     const auto cc = congest::convergecast_sum(
         g, piece_of, election.leader_of, tree.parent, tree.depth, value,
         net);
-    outcome.rounds += cc.stats.rounds;
+    outcome.stats += cc.stats;
     packed_by_bucket[b] = cc.sum;
   }
 
@@ -285,7 +285,7 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
   }
   const auto bc = congest::broadcast_from_leaders(
       g, piece_of, election.leader_of, verdict, net);
-  outcome.rounds += bc.stats.rounds;
+  outcome.stats += bc.stats;
 
   // Apply splits: vertices move to the high side by flipping a local bit;
   // the host relabels components afterwards (bookkeeping only).
@@ -318,12 +318,12 @@ DistributedDecompositionResult distributed_expander_decompose(
     int num_pieces = relabel_components(g, piece_of);
     std::vector<bool> finalized(num_pieces, false);
     std::vector<double> best_cut(num_pieces, 2.0);
-    std::int64_t rounds = 0;
+    congest::RunStats stats;
     int level = 0;
     for (; level < options.max_levels; ++level) {
       const auto outcome = run_level(g, piece_of, num_pieces, phi, options,
                                      finalized, level, best_cut);
-      rounds += outcome.rounds;
+      stats += outcome.stats;
       if (!outcome.any_split) break;
       num_pieces = relabel_components(g, piece_of);
       finalized.assign(num_pieces, false);
@@ -338,7 +338,8 @@ DistributedDecompositionResult distributed_expander_decompose(
     d.cluster_phi_certified.assign(num_pieces, phi);
     if (d.inter_cluster_edges <= eps * m) {
       result.decomposition = std::move(d);
-      result.measured_rounds = rounds;
+      result.stats = stats;
+      result.measured_rounds = stats.rounds;
       result.levels = level;
       return result;
     }

@@ -51,6 +51,9 @@ struct DistributedDecompositionOptions {
 struct DistributedDecompositionResult {
   ExpanderDecomposition decomposition;
   std::int64_t measured_rounds = 0;  // total CONGEST rounds, all levels
+  // Every Network run of the construction, summed (stats.rounds ==
+  // measured_rounds); covers the attempt whose decomposition is returned.
+  congest::RunStats stats;
   int levels = 0;
 };
 

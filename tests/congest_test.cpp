@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -309,9 +312,16 @@ TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
     ASSERT_EQ(r.received[v].size(), 1u) << "vertex " << v;
     EXPECT_EQ(r.received[v][0][0], 1000 + v);
   }
-  // Message count mirrors the forward hops of the replied tokens.
-  EXPECT_EQ(r.stats.messages_sent,
-            gather.stats.messages_sent);
+  // One reverse message per recorded hop of the replied tokens, and every
+  // recorded trace is loop-erased: no vertex repeats on it.
+  std::int64_t hops = 0;
+  for (const TokenTrace& t : gather.traces) {
+    hops += static_cast<std::int64_t>(t.hop_round.size());
+    const std::set<VertexId> distinct(t.visited.begin(), t.visited.end());
+    EXPECT_EQ(distinct.size(), t.visited.size()) << "token from " << t.origin;
+  }
+  EXPECT_EQ(r.stats.messages_sent, hops);
+  EXPECT_LT(r.stats.messages_sent, gather.stats.messages_sent);
 }
 
 TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
@@ -356,6 +366,91 @@ GatherResult two_hop_gather(VertexId a_from, VertexId a_to, VertexId b_from,
   gather.traces[1].visited = {b_from, b_to};
   gather.traces[1].hop_round = {0};
   return gather;
+}
+
+// The recorded trace is the chronological loop erasure of the walk: a hop
+// onto a vertex already on the path cuts the path back to it. Checked
+// against a naive erasure that scans the path on every hop, on walks that
+// go back and forth on a line, circle back to the origin on a cycle, and
+// wander a planar graph. The long line and the grid grow paths past
+// kScanLength, where the index takes over from the scan.
+TEST(TracePathIndex, MatchesNaiveLoopErasureOfRandomWalks) {
+  Rng rng(37);
+  const Graph planar = graph::random_maximal_planar(30, rng);
+  const std::vector<Graph> graphs = {graph::path(5), graph::cycle(6), planar,
+                                     graph::path(200), graph::grid(12, 12)};
+  std::mt19937_64 walk_rng(41);
+  int returns_to_origin = 0;
+  std::size_t longest = 0;
+  for (const Graph& g : graphs) {
+    for (int walk = 0; walk < 40; ++walk) {
+      const auto origin = static_cast<VertexId>(
+          walk_rng() % static_cast<std::uint64_t>(g.num_vertices()));
+      TokenTrace trace;
+      trace.origin = origin;
+      trace.visited = {origin};
+      TracePathIndex index;
+      std::vector<VertexId> naive_path = {origin};
+      std::vector<std::int64_t> naive_rounds;
+      VertexId at = origin;
+      for (std::int64_t round = 0; round < 3000; ++round) {
+        const auto nbrs = g.neighbors(at);
+        at = nbrs[walk_rng() % nbrs.size()];
+        index.record_hop(trace, at, round);
+        const auto k = std::find(naive_path.begin(), naive_path.end(), at);
+        if (k == naive_path.end()) {
+          naive_path.push_back(at);
+          naive_rounds.push_back(round);
+        } else {
+          naive_path.erase(k + 1, naive_path.end());
+          naive_rounds.resize(naive_path.size() - 1);
+          returns_to_origin += naive_path.size() == 1;
+        }
+        ASSERT_EQ(trace.visited, naive_path) << "round " << round;
+        ASSERT_EQ(trace.hop_round, naive_rounds) << "round " << round;
+        longest = std::max(longest, naive_path.size());
+      }
+      // A reset trace restarts at its origin with a dropped index.
+      trace.visited = {origin};
+      trace.hop_round.clear();
+      index.clear();
+      const VertexId next = g.neighbors(origin)[0];
+      index.record_hop(trace, next, 0);
+      index.record_hop(trace, origin, 1);
+      EXPECT_EQ(trace.visited, std::vector<VertexId>{origin});
+      EXPECT_TRUE(trace.hop_round.empty());
+    }
+  }
+  EXPECT_GT(returns_to_origin, 0);
+  EXPECT_GT(longest, 4 * TracePathIndex::kScanLength);
+}
+
+// Guard on the loop erasure: on a 16×16 grid, Theorem 2.6's token mix walks
+// hundreds of thousands of hops, and the recorded paths keep under a tenth
+// of them.
+TEST(ReverseDelivery, TraceHopsStayFarBelowWalkMessages) {
+  const Graph g = graph::grid(16, 16);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back({v, {v, -1, 0, 0}});
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    tokens[ed.u].push_back({ed.u, {ed.u, ed.v, 1, 1}});
+  }
+  GatherOptions opt;
+  opt.net.bandwidth_tokens = 8;
+  const auto gather =
+      random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
+  ASSERT_TRUE(gather.complete);
+  std::int64_t hops = 0;
+  for (const TokenTrace& t : gather.traces) {
+    hops += static_cast<std::int64_t>(t.hop_round.size());
+  }
+  EXPECT_LT(hops, gather.stats.messages_sent / 10)
+      << hops << " trace hops, " << gather.stats.messages_sent << " messages";
 }
 
 TEST(ReverseDelivery, DistinctEdgesNeverShareALoadCounter) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/congest/fault.h"
@@ -537,6 +538,191 @@ TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
         EXPECT_LT(t.hop_round[h - 1], t.hop_round[h]);
       }
       EXPECT_EQ(t.visited.size(), t.hop_round.size() + 1);
+    }
+  }
+}
+
+// Six fault configurations of the reliable gather: drops light and heavy,
+// duplicates with delays, a leader crash, everything at bandwidth 1, and
+// drops with two crashes over short epochs. Tokens are Theorem 2.6's mix:
+// a hello token per vertex and one per edge.
+congest::ReliableGatherResult run_fault_config(int config, int threads) {
+  const Graph g = config % 2 ? graph::torus_grid(6, 6) : graph::grid(8, 8);
+  const std::vector<int> cl(g.num_vertices(), 0);
+  const VertexId leader = clean_leaders(g, cl).leader_of[0];
+  std::vector<std::vector<congest::GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back({v, {v, -1, 0, 0}});
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    tokens[ed.u].push_back({ed.u, {ed.u, ed.v, 1, 1}});
+  }
+  congest::ReliableGatherOptions opt;
+  opt.seed = 11 + static_cast<std::uint64_t>(config);
+  opt.net.bandwidth_tokens = 2;
+  opt.net.num_threads = threads;
+  opt.net.sparse_serial_threshold = 0;
+  FaultPlan& f = opt.net.faults;
+  f.seed = 100 + static_cast<std::uint64_t>(config);
+  switch (config) {
+    case 0: f.drop_probability = 0.01; break;
+    case 1: f.drop_probability = 0.2; break;
+    case 2:
+      f.duplicate_probability = 0.1;
+      f.delay_probability = 0.1;
+      f.max_delay_rounds = 4;
+      break;
+    case 3:
+      f.crashes.push_back(CrashEvent{leader, 3});
+      opt.epoch_rounds = 256;
+      break;
+    case 4:
+      f = mixed_plan();
+      f.seed = 104;
+      opt.net.bandwidth_tokens = 1;
+      break;
+    default:
+      f.drop_probability = 0.05;
+      f.crashes.push_back(CrashEvent{5, 40});
+      f.crashes.push_back(CrashEvent{leader, 90});
+      opt.epoch_rounds = 128;
+      break;
+  }
+  return congest::reliable_walk_gather(g, cl, clean_leaders(g, cl).leader_of,
+                                       tokens, opt);
+}
+
+// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::int64_t x) {
+    h = (h ^ static_cast<std::uint64_t>(x)) * 1099511628211ULL;
+  }
+};
+
+// Retransmissions, acks, epochs, re-elections, final leaders, the summed
+// RunStats and every delivered id and payload: everything of a reliable
+// gather except its traces.
+std::uint64_t forward_digest(const congest::ReliableGatherResult& r) {
+  Fnv f;
+  f.add(r.retransmissions);
+  f.add(r.ack_messages);
+  f.add(r.epochs);
+  f.add(r.reelections);
+  for (const VertexId l : r.final_leader_of) f.add(l);
+  const RunStats& s = r.gather.stats;
+  for (const std::int64_t x :
+       {s.rounds, s.messages_sent, s.words_sent,
+        static_cast<std::int64_t>(s.max_edge_load), s.messages_dropped,
+        s.messages_duplicated, s.messages_delayed, s.vertices_crashed}) {
+    f.add(x);
+  }
+  for (const auto& ids : r.gather.delivered_ids) {
+    f.add(-7);
+    for (const std::int64_t id : ids) f.add(id);
+  }
+  for (const auto& cluster : r.gather.delivered) {
+    for (const auto& payload : cluster) {
+      f.add(-9);
+      for (const std::int64_t w : payload) f.add(w);
+    }
+  }
+  f.add(r.gather.complete);
+  return f.h;
+}
+
+// Golden digests of the six configurations, recorded before acks cleared
+// pending hops in O(1) and before traces were loop-erased: neither change
+// may move a retransmission, an ack, an epoch or a delivered id.
+TEST(ReliableGather, AckBookkeepingIsUnchangedInSixFaultConfigurations) {
+  const std::uint64_t golden[6] = {
+      0xd3bf4a8f5c88d197ULL, 0x003344ff2d136ee2ULL, 0x5b3bce1e323d4389ULL,
+      0x33adc49cff2db4a3ULL, 0xc60ed59346215fcfULL, 0x090b708451a166f9ULL};
+  for (int config = 0; config < 6; ++config) {
+    const auto r = run_fault_config(config, 1);
+    EXPECT_TRUE(r.gather.complete) << "config " << config;
+    EXPECT_EQ(forward_digest(r), golden[config]) << "config " << config;
+  }
+}
+
+// Every trace of both gathers, faulted epochs included, is the loop erasure
+// of its walk: a simple path along graph edges with strictly increasing hop
+// rounds. A delivered token's path ends at its cluster's final leader.
+void expect_simple_paths(const Graph& g, const congest::GatherResult& gather,
+                         const std::vector<VertexId>& final_leader_of) {
+  std::vector<bool> delivered(gather.traces.size(), false);
+  for (const auto& ids : gather.delivered_ids) {
+    for (const std::int64_t id : ids) delivered[id] = true;
+  }
+  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
+    const congest::TokenTrace& t = gather.traces[id];
+    ASSERT_EQ(t.visited.size(), t.hop_round.size() + 1) << "token " << id;
+    EXPECT_EQ(t.visited.front(), t.origin);
+    const std::set<VertexId> distinct(t.visited.begin(), t.visited.end());
+    EXPECT_EQ(distinct.size(), t.visited.size()) << "token " << id;
+    for (std::size_t h = 0; h < t.hop_round.size(); ++h) {
+      EXPECT_TRUE(g.has_edge(t.visited[h], t.visited[h + 1]));
+      if (h > 0) {
+        EXPECT_LT(t.hop_round[h - 1], t.hop_round[h]);
+      }
+    }
+    if (delivered[id]) {
+      EXPECT_EQ(t.visited.back(), final_leader_of[t.origin]) << "token " << id;
+    }
+  }
+}
+
+TEST(ReliableGather, TracesAreSimplePathsEndingAtTheFinalLeader) {
+  for (int config = 0; config < 6; ++config) {
+    SCOPED_TRACE("config " + std::to_string(config));
+    const auto r = run_fault_config(config, 1);
+    const Graph g = config % 2 ? graph::torus_grid(6, 6) : graph::grid(8, 8);
+    expect_simple_paths(g, r.gather, r.final_leader_of);
+  }
+  graph::Rng rng(31);
+  const Graph g = graph::random_maximal_planar(80, rng);
+  const std::vector<int> cl(g.num_vertices(), 0);
+  const auto leaders = clean_leaders(g, cl);
+  congest::GatherOptions opt;
+  opt.net.bandwidth_tokens = 2;
+  const auto r = congest::random_walk_gather(g, cl, leaders.leader_of,
+                                             one_token_per_vertex(g), opt);
+  ASSERT_TRUE(r.complete);
+  expect_simple_paths(g, r, leaders.leader_of);
+}
+
+// Traces, and the reversed delivery replayed from them, are bit-identical
+// at every thread count.
+TEST(ReliableGather, TracesAndReturnAreIdenticalAcrossThreadCounts) {
+  const auto digest = [](const congest::ReliableGatherResult& r) {
+    Fnv f;
+    f.add(static_cast<std::int64_t>(forward_digest(r)));
+    std::vector<std::vector<std::int64_t>> reply(r.gather.traces.size());
+    for (const congest::TokenTrace& t : r.gather.traces) {
+      f.add(-3);
+      for (const VertexId v : t.visited) f.add(v);
+      for (const std::int64_t round : t.hop_round) f.add(round);
+    }
+    for (const auto& ids : r.gather.delivered_ids) {
+      for (const std::int64_t id : ids) reply[id] = {id};
+    }
+    const auto back = congest::reverse_delivery(
+        static_cast<int>(r.final_leader_of.size()), r.gather, reply,
+        r.gather.bandwidth);
+    EXPECT_TRUE(back.load_ok);
+    for (const std::int64_t x :
+         {back.stats.rounds, back.stats.messages_sent, back.stats.words_sent,
+          static_cast<std::int64_t>(back.stats.max_edge_load)}) {
+      f.add(x);
+    }
+    return f.h;
+  };
+  for (int config = 0; config < 6; ++config) {
+    const std::uint64_t serial = digest(run_fault_config(config, 1));
+    for (const int threads : {2, 4, 8}) {
+      EXPECT_EQ(digest(run_fault_config(config, threads)), serial)
+          << "config " << config << " @ " << threads << " threads";
     }
   }
 }

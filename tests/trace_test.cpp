@@ -212,16 +212,22 @@ TEST(Trace, PhaseSpansReconcileWithLedgerAndRunStats) {
     if (distributed) {
       EXPECT_GT(decomposition.rounds, 0);
       EXPECT_GT(decomposition.messages_sent, 0);
+      // Its ledger entry carries the phase row's traffic, not rounds only.
+      const auto& entry = p.ledger.entries().front();
+      EXPECT_EQ(entry.label, "expander decomposition (distributed sweep)");
+      EXPECT_EQ(entry.stats.rounds, decomposition.rounds);
+      EXPECT_EQ(entry.stats.messages_sent, decomposition.messages_sent);
+      EXPECT_EQ(entry.stats.words_sent, decomposition.words_sent);
+      EXPECT_EQ(entry.stats.max_edge_load, decomposition.max_edge_load);
     } else {
       EXPECT_EQ(decomposition.rounds, 0);
     }
 
-    // The ledger's per-phase traffic agrees with the registry. The
-    // distributed decomposition's entry carries rounds only, so its
-    // traffic comes from its phase row.
-    std::int64_t ledger_messages = decomposition.messages_sent;
-    std::int64_t ledger_words = decomposition.words_sent;
-    int ledger_max_load = decomposition.max_edge_load;
+    // The ledger's per-phase traffic agrees with the registry, the
+    // distributed decomposition's entry included.
+    std::int64_t ledger_messages = 0;
+    std::int64_t ledger_words = 0;
+    int ledger_max_load = 0;
     for (const auto& e : p.ledger.entries()) {
       if (!e.measured) continue;
       ledger_messages += e.stats.messages_sent;

@@ -26,26 +26,16 @@ using graph::VertexId;
 void TracePathIndex::record_hop(TokenTrace& trace, VertexId to,
                                 std::int64_t round) {
   std::vector<VertexId>& visited = trace.visited;
+  if (slots_.empty()) rebuild(visited);
   const std::size_t mask = slots_.size() - 1;
-  std::size_t k = visited.size();  // position of `to` on the path, if any
-  std::size_t free_slot = 0;
-  if (slots_.empty()) {
-    // A walk mostly steps back onto a recent vertex: scan newest first.
-    const auto it = std::find(visited.rbegin(), visited.rend(), to);
-    if (it != visited.rend()) k = static_cast<std::size_t>(visited.rend() - it) - 1;
-  } else {
-    std::size_t i = home(to);
-    while (slots_[i] >= 0 && visited[slots_[i]] != to) i = (i + 1) & mask;
-    if (slots_[i] >= 0) k = static_cast<std::size_t>(slots_[i]);
-    free_slot = i;
-  }
-  if (k < visited.size()) {  // `to` closes a loop: erase it
-    if (!slots_.empty()) {
-      for (std::size_t j = visited.size() - 1; j > k; --j) {
-        std::size_t i = home(visited[j]);
-        while (static_cast<std::size_t>(slots_[i]) != j) i = (i + 1) & mask;
-        slots_[i] = -1;
-      }
+  std::size_t i = home(to);
+  while (slots_[i] >= 0 && visited[slots_[i]] != to) i = (i + 1) & mask;
+  if (slots_[i] >= 0) {  // `to` closes a loop: erase it
+    const std::size_t k = static_cast<std::size_t>(slots_[i]);
+    for (std::size_t j = visited.size() - 1; j > k; --j) {
+      std::size_t e = home(visited[j]);
+      while (static_cast<std::size_t>(slots_[e]) != j) e = (e + 1) & mask;
+      slots_[e] = -1;
     }
     visited.resize(k + 1);
     trace.hop_round.resize(k);
@@ -53,11 +43,10 @@ void TracePathIndex::record_hop(TokenTrace& trace, VertexId to,
   }
   visited.push_back(to);
   trace.hop_round.push_back(round);
-  if (slots_.empty() ? visited.size() >= kScanLength
-                     : 2 * visited.size() > slots_.size()) {
+  if (2 * visited.size() > slots_.size()) {
     rebuild(visited);
-  } else if (!slots_.empty()) {
-    slots_[free_slot] = static_cast<std::int32_t>(visited.size() - 1);
+  } else {
+    slots_[i] = static_cast<std::int32_t>(visited.size() - 1);
   }
 }
 
@@ -455,73 +444,6 @@ class FlatKeySet {
   std::size_t size_ = 0;
 };
 
-// Map from non-negative keys to values, by open addressing with linear
-// probing; erase shifts the probe run back instead of leaving tombstones.
-class FlatKeyMap {
- public:
-  // Adds `key` (>= 0, not present) with `value`.
-  void insert(std::int64_t key, std::int64_t value) {
-    assert(key >= 0);
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    std::size_t i = home(key);
-    while (slots_[i].key >= 0) i = next(i);
-    slots_[i] = Slot{key, value};
-    ++size_;
-  }
-
-  // The value stored for `key`, or nullptr.
-  std::int64_t* find(std::int64_t key) {
-    if (size_ == 0) return nullptr;
-    for (std::size_t i = home(key); slots_[i].key >= 0; i = next(i)) {
-      if (slots_[i].key == key) return &slots_[i].value;
-    }
-    return nullptr;
-  }
-
-  // Removes `key`, which must be present.
-  void erase(std::int64_t key) {
-    std::size_t hole = home(key);
-    while (slots_[hole].key != key) hole = next(hole);
-    // Move back every later entry of the run whose home does not lie
-    // cyclically in (hole, j]; it would be unreachable past the hole.
-    for (std::size_t j = next(hole); slots_[j].key >= 0; j = next(j)) {
-      const std::size_t h = home(slots_[j].key);
-      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
-      if (stays) continue;
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-    slots_[hole].key = -1;
-    --size_;
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  struct Slot {
-    std::int64_t key = -1;  // -1 marks an empty slot
-    std::int64_t value = 0;
-  };
-
-  std::size_t home(std::int64_t key) const {
-    return graph::splitmix64(static_cast<std::uint64_t>(key)) &
-           (slots_.size() - 1);
-  }
-  std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
-
-  void grow() {
-    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
-    old.swap(slots_);
-    size_ = 0;
-    for (const Slot& slot : old) {
-      if (slot.key >= 0) insert(slot.key, slot.value);
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
-
 // WalkAlgo hardened against message faults. Token hops carry a per-token
 // sequence number packed into the routing word (id | seq << 44 — token ids
 // stay well under 2^44 and a hop count under 2^19 keeps the word positive);
@@ -615,8 +537,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     }
     if (is_leader_) return;
     for (Pending& u : unacked_) {
-      if (u.packed < 0 || r - u.sent_round < timeout_ ||
-          load[u.port_index] >= bandwidth_) {
+      if (r - u.sent_round < timeout_ || load[u.port_index] >= bandwidth_) {
         continue;
       }
       ++load[u.port_index];
@@ -652,7 +573,6 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       // the path and reverse_delivery remains routable.
       traces_->record_hop(t.id, ctx.neighbor((*intra_)[i]), base_round_ + r);
       ctx.send((*intra_)[i], t.message(packed));
-      unacked_slot_.insert(packed, static_cast<std::int64_t>(unacked_.size()));
       unacked_.push_back(Pending{packed, t, static_cast<int>(i), r});
     }
     held_.swap(keep_);
@@ -674,29 +594,19 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
 
  private:
   struct Pending {
-    std::int64_t packed = -1;  // -1 once acked
+    std::int64_t packed = -1;
     WalkToken token;
     int port_index = -1;
     std::int64_t sent_round = -1;
   };
 
-  // O(1) amortized: the ack marks its entry, and unacked_ is compacted in
-  // order once marked entries outnumber live ones, so retransmissions keep
-  // their send order.
   void clear_unacked(std::int64_t packed) {
-    const std::int64_t* slot = unacked_slot_.find(packed);
-    if (slot == nullptr) return;  // a duplicate or stale ack
-    unacked_[*slot].packed = -1;
-    unacked_slot_.erase(packed);
-    const std::size_t live = unacked_slot_.size();
-    if (2 * live >= unacked_.size()) return;
-    std::size_t kept = 0;
-    for (Pending& u : unacked_) {
-      if (u.packed < 0) continue;
-      *unacked_slot_.find(u.packed) = static_cast<std::int64_t>(kept);
-      unacked_[kept++] = u;
+    for (auto it = unacked_.begin(); it != unacked_.end(); ++it) {
+      if (it->packed == packed) {
+        unacked_.erase(it);
+        return;
+      }
     }
-    unacked_.resize(kept);
   }
 
   const std::vector<int>* intra_;
@@ -710,8 +620,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   TraceBook* traces_;
   std::vector<std::vector<std::int64_t>> ack_queue_;  // per intra index
   FlatKeySet accepted_;  // (id, seq) hops taken here
-  std::vector<Pending> unacked_;  // in send order
-  FlatKeyMap unacked_slot_;       // packed -> index of its live entry
+  std::vector<Pending> unacked_;
   bool started_ = false;
   bool sent_ = false;
   bool gave_up_ = false;

@@ -89,10 +89,9 @@ struct TokenTrace {
 
 // Position of each vertex on a TokenTrace's path, so that recording a hop
 // costs O(1) amortized: a hop back onto the path erases the loop it closes.
-// A path shorter than kScanLength is scanned; once one reaches it, an
-// open-addressing table of positions into `visited` takes over. Its memory
-// is O(the longest path the token has held), never O(walk length). clear()
-// drops the table when the trace is reset.
+// The positions into `visited` sit in an open-addressing table built at the
+// token's first hop. Its memory is O(the longest path the token has held),
+// never O(walk length). clear() drops the table when the trace is reset.
 class TracePathIndex {
  public:
   // Records the token's hop to `to` at `round`. If `to` is on the path at
@@ -100,8 +99,6 @@ class TracePathIndex {
   // `hop_round` k. Otherwise the hop is appended.
   void record_hop(TokenTrace& trace, graph::VertexId to, std::int64_t round);
   void clear();
-
-  static constexpr std::size_t kScanLength = 16;
 
  private:
   void rebuild(const std::vector<graph::VertexId>& visited);

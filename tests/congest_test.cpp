@@ -372,8 +372,8 @@ GatherResult two_hop_gather(VertexId a_from, VertexId a_to, VertexId b_from,
 // onto a vertex already on the path cuts the path back to it. Checked
 // against a naive erasure that scans the path on every hop, on walks that
 // go back and forth on a line, circle back to the origin on a cycle, and
-// wander a planar graph. The long line and the grid grow paths past
-// kScanLength, where the index takes over from the scan.
+// wander a planar graph. The long line and the grid grow paths past 64
+// vertices, so the index table is rebuilt at several sizes.
 TEST(TracePathIndex, MatchesNaiveLoopErasureOfRandomWalks) {
   Rng rng(37);
   const Graph planar = graph::random_maximal_planar(30, rng);
@@ -422,7 +422,7 @@ TEST(TracePathIndex, MatchesNaiveLoopErasureOfRandomWalks) {
     }
   }
   EXPECT_GT(returns_to_origin, 0);
-  EXPECT_GT(longest, 4 * TracePathIndex::kScanLength);
+  EXPECT_GT(longest, std::size_t{64});
 }
 
 // Guard on the loop erasure: on a 16×16 grid, Theorem 2.6's token mix walks

@@ -632,9 +632,9 @@ std::uint64_t forward_digest(const congest::ReliableGatherResult& r) {
   return f.h;
 }
 
-// Golden digests of the six configurations, recorded before acks cleared
-// pending hops in O(1) and before traces were loop-erased: neither change
-// may move a retransmission, an ack, an epoch or a delivered id.
+// Golden digests of the six configurations, recorded before traces were
+// loop-erased: how hops are recorded may not move a retransmission, an
+// ack, an epoch or a delivered id.
 TEST(ReliableGather, AckBookkeepingIsUnchangedInSixFaultConfigurations) {
   const std::uint64_t golden[6] = {
       0xd3bf4a8f5c88d197ULL, 0x003344ff2d136ee2ULL, 0x5b3bce1e323d4389ULL,
